@@ -7,14 +7,7 @@ query, fuses them probabilistically, and evaluates against distance-based
 baselines with precision-recall metrics.
 """
 
-from .baselines import (
-    ScoredDecision,
-    baseline_selective_match,
-    min_ensemble_match,
-    min_value_match,
-)
 from .distance import (
-    EUCLIDEAN,
     DistanceStack,
     distance_stack,
     distance_vector,
@@ -45,7 +38,6 @@ from .evaluation import (
 from .fusion import (
     Belief,
     PlaceDecision,
-    bayesian_full_fusion,
     decide,
     posterior,
     uniform_prior,
@@ -81,6 +73,6 @@ from .selection import (
     select_references,
     select_single,
 )
-from .sequence import ScoreMatrix, sequence_aggregate, sequence_decide
+from .sequence import ScoreMatrix, sequence_aggregate
 
 __version__ = "0.1.0"

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,36 +28,6 @@ from .ingest import (
 )
 from .methods import expand_methods, resolve_method
 from .selection import DEFAULT_GAMMA
-from .sequence import sequence_decide
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; field defaults are the CLI defaults."""
-
-    manifest: Path | None = None
-    method: str = "bayes-selective"
-    gamma: float = DEFAULT_GAMMA
-    threshold: float = 0.5
-    seq_len: int = 1
-    seq_velocity: float = 1.0
-    out: Path | None = None
-    jobs: int = 1
-    # synth
-    seed: int = 0
-    places: int = 500
-    conditions: int = 3
-    dim: int = 24
-    place_spread: float = 1.0
-    condition_scale: float = 0.9
-    query_noise: float = 0.5
-    mixture: tuple[float, ...] | None = None
-    gt_tolerance: int = 0
-    # match
-    query_file: Path | None = None
-    # bench
-    repetitions: int = 5
-    queries: int = 32
 
 
 def _fmt(x: float) -> str:
@@ -77,21 +46,19 @@ def _emit(lines: list[str], out_path: Path | None) -> None:
         out_path.write_text(text, encoding="utf-8")
 
 
-def cmd_synth(config: RunConfig) -> int:
-    if config.out is None:
-        raise VPRFuseError("synth requires --out <dir>")
+def cmd_synth(args: argparse.Namespace) -> int:
     data = generate_synthetic(
-        seed=config.seed,
-        n_places=config.places,
-        n_conditions=config.conditions,
-        dim=config.dim,
-        place_spread=config.place_spread,
-        condition_scale=config.condition_scale,
-        query_noise=config.query_noise,
-        mixture=config.mixture,
-        gt_tolerance=config.gt_tolerance,
+        seed=args.seed,
+        n_places=args.places,
+        n_conditions=args.conditions,
+        dim=args.dim,
+        place_spread=args.place_spread,
+        condition_scale=args.condition_scale,
+        query_noise=args.query_noise,
+        mixture=args.mixture,
+        gt_tolerance=args.gt_tolerance,
     )
-    out = config.out
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     refs = []
     for ref in data.refs:
@@ -106,10 +73,10 @@ def cmd_synth(config: RunConfig) -> int:
     write_manifest(
         manifest_path,
         DatasetManifest(
-            places=config.places,
-            dim=config.dim,
+            places=args.places,
+            dim=args.dim,
             query_path=query_path,
-            gt_tolerance=config.gt_tolerance,
+            gt_tolerance=args.gt_tolerance,
             refs=refs,
             gt_path=gt_path,
         ),
@@ -118,55 +85,53 @@ def cmd_synth(config: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(config: RunConfig) -> int:
-    dataset = load_dataset(config.manifest)
-    methods = expand_methods(config.method, dataset.labels)
-    if config.out is not None:
-        config.out.mkdir(parents=True, exist_ok=True)
+def cmd_eval(args: argparse.Namespace) -> int:
+    dataset = load_dataset(args.manifest)
+    methods = expand_methods(args.method, dataset.labels)
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
     summary = ["method,auc,n_queries"]
     for method in methods:
         result = evaluate_method(
             dataset,
             method,
-            gamma=config.gamma,
-            seq_len=config.seq_len,
-            seq_velocity=config.seq_velocity,
-            jobs=config.jobs,
+            gamma=args.gamma,
+            seq_len=args.seq_len,
+            seq_velocity=args.seq_velocity,
+            jobs=args.jobs,
         )
         lines = ["threshold,recall,precision"]
         for cutoff, (recall, precision) in zip(result.curve.thresholds, result.curve.points):
             lines.append(f"{_fmt(cutoff)},{_fmt(recall)},{_fmt(precision)}")
-        if config.out is None:
+        if args.out is None:
             print(f"# method={method.name}")
             _emit(lines, None)
         else:
-            _emit(lines, config.out / f"pr_{_safe_name(method.name)}.csv")
+            _emit(lines, args.out / f"pr_{_safe_name(method.name)}.csv")
         summary.append(f"{method.name},{_fmt(result.curve.auc)},{len(result.records)}")
-    _emit(summary, None if config.out is None else config.out / "summary.csv")
-    if config.out is not None:
+    _emit(summary, None if args.out is None else args.out / "summary.csv")
+    if args.out is not None:
         for line in summary:
             print(line)
     return 0
 
 
-def cmd_match(config: RunConfig) -> int:
-    dataset = load_dataset(config.manifest)
-    if config.query_file is None:
-        raise VPRFuseError("match requires --query <file>")
-    if not 0.0 < config.threshold < 1.0:
+def cmd_match(args: argparse.Namespace) -> int:
+    dataset = load_dataset(args.manifest)
+    if not 0.0 < args.threshold < 1.0:
         raise VPRFuseError(
-            f"--threshold must lie in (0, 1), got {config.threshold}"
+            f"--threshold must lie in (0, 1), got {args.threshold}"
         )
-    query = read_descriptor_file(config.query_file)
+    query = read_descriptor_file(args.query_file)
     if query.shape[0] != 1:
         raise VPRFuseError(
             f"match expects a single-descriptor query file, got {query.shape[0]} rows"
         )
-    method = resolve_method(config.method, dataset.labels)
+    method = resolve_method(args.method, dataset.labels)
     stack = distance_stack(query[0], dataset.refs)
-    selection = method.select(stack, config.gamma)
+    selection = method.select(stack, args.gamma)
     print(f"method: {method.name}")
-    print(f"gamma: {_fmt(config.gamma)}")
+    print(f"gamma: {_fmt(args.gamma)}")
     print("reference minima:")
     for u, label in enumerate(dataset.labels):
         tags = []
@@ -193,16 +158,16 @@ def cmd_match(config: RunConfig) -> int:
         print("top beliefs:")
         for i in top:
             print(f"  place {int(i)}: {_fmt(belief.normalized[i])}")
-        decision = decide(belief, config.threshold)
+        decision = decide(belief, args.threshold)
         if decision.matched:
             print(
                 f"decision: place={decision.place} "
-                f"confidence={_fmt(decision.confidence)} threshold={_fmt(config.threshold)}"
+                f"confidence={_fmt(decision.confidence)} threshold={_fmt(args.threshold)}"
             )
         else:
             print(
                 f"decision: no match (max belief {_fmt(decision.confidence)} "
-                f"<= threshold {_fmt(config.threshold)})"
+                f"<= threshold {_fmt(args.threshold)})"
             )
     else:
         row = method.fuse(stack, selection)
@@ -210,19 +175,19 @@ def cmd_match(config: RunConfig) -> int:
         print("top scores (negative mean distance):")
         for i in top:
             print(f"  place {int(i)}: {_fmt(row[i])}")
-        scored = sequence_decide(row, method=method.name)
-        print(f"decision: place={scored.place} confidence={_fmt(scored.confidence)}")
+        place = int(np.argmax(row))
+        print(f"decision: place={place} confidence={_fmt(row[place])}")
     return 0
 
 
-def cmd_bench(config: RunConfig) -> int:
-    dataset = load_dataset(config.manifest)
+def cmd_bench(args: argparse.Namespace) -> int:
+    dataset = load_dataset(args.manifest)
     report = bench_query(
         dataset,
-        method=config.method,
-        repetitions=config.repetitions,
-        n_queries=config.queries,
-        gamma=config.gamma,
+        method=args.method,
+        repetitions=args.repetitions,
+        n_queries=args.queries,
+        gamma=args.gamma,
     )
     lines = ["method,phase,mean_s,median_s"]
     for phase in TimingReport.PHASE_ORDER:
@@ -230,7 +195,7 @@ def cmd_bench(config: RunConfig) -> int:
         lines.append(
             f"{report.method},{phase},{stats.mean_s:.9f},{stats.median_s:.9f}"
         )
-    _emit(lines, None if config.out is None else config.out / "timing.csv")
+    _emit(lines, None if args.out is None else args.out / "timing.csv")
     return 0
 
 
@@ -291,14 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    for name in vars(config):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    return config
-
-
 _COMMANDS = {
     "synth": cmd_synth,
     "eval": cmd_eval,
@@ -309,9 +266,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command](args)
     except (VPRFuseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,7 @@ All distances are accumulated in double precision regardless of the input
 dtype, so vectorized and scalar code paths agree with independent summation
 oracles to well under 1e-6 relative.
 
-The distance measure is pluggable; Euclidean is the only shipped
-implementation.  Its batch kernel uses the expanded form
+The distance is Euclidean.  Its batch kernel uses the expanded form
 ``|r|^2 - 2 r.q + |q|^2`` (a matrix-vector product, an order of magnitude
 faster than forming explicit differences at realistic sizes) and re-evaluates
 any entry subject to cancellation with the exact difference form, so a query
@@ -24,32 +23,6 @@ from .ingest import ReferenceSet
 # Squared distances below this fraction of their term magnitudes are
 # recomputed with the exact difference form (cancellation guard).
 _RECHECK_REL = 1e-10
-
-
-@dataclass(frozen=True)
-class EuclideanMetric:
-    name: str = "euclidean"
-
-    def pairwise(self, a: np.ndarray, b: np.ndarray) -> float:
-        d = a - b
-        return float(np.sqrt(d @ d))
-
-    def one_to_many(
-        self, query: np.ndarray, rows: np.ndarray, row_sq_norms: np.ndarray
-    ) -> np.ndarray:
-        q_sq = float(query @ query)
-        d2 = row_sq_norms - 2.0 * (rows @ query) + q_sq
-        np.maximum(d2, 0.0, out=d2)
-        suspect = d2 <= _RECHECK_REL * (row_sq_norms + q_sq)
-        if np.any(suspect):
-            diff = rows[suspect] - query
-            d2[suspect] = np.einsum("ij,ij->i", diff, diff)
-        return np.sqrt(d2)
-
-
-EUCLIDEAN = EuclideanMetric()
-
-METRICS = {EUCLIDEAN.name: EUCLIDEAN}
 
 
 @dataclass(frozen=True)
@@ -110,39 +83,46 @@ def _prepared_rows(ref: ReferenceSet | np.ndarray) -> tuple[np.ndarray, np.ndarr
     return rows, np.einsum("ij,ij->i", rows, rows)
 
 
+def _distances(q: np.ndarray, ref: ReferenceSet | np.ndarray) -> np.ndarray:
+    """Kernel: distances from a validated float64 query to every row of ``ref``."""
+    rows, row_sq_norms = _prepared_rows(ref)
+    if rows.shape[1] != q.shape[0]:
+        raise ValidationError(
+            f"dimension mismatch: query {q.shape[0]}, reference {rows.shape[1]}"
+        )
+    q_sq = float(q @ q)
+    d2 = row_sq_norms - 2.0 * (rows @ q) + q_sq
+    np.maximum(d2, 0.0, out=d2)
+    suspect = d2 <= _RECHECK_REL * (row_sq_norms + q_sq)
+    if np.any(suspect):
+        diff = rows[suspect] - q
+        d2[suspect] = np.einsum("ij,ij->i", diff, diff)
+    return np.sqrt(d2)
+
+
 def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean distance between two descriptors (double-precision)."""
     a, b = _as_query(a), _as_query(b)
     if a.shape != b.shape:
         raise ValidationError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return EUCLIDEAN.pairwise(a, b)
+    d = a - b
+    return float(np.sqrt(d @ d))
 
 
-def distance_vector(
-    query: np.ndarray,
-    ref: ReferenceSet | np.ndarray,
-    metric: EuclideanMetric = EUCLIDEAN,
-) -> np.ndarray:
+def distance_vector(query: np.ndarray, ref: ReferenceSet | np.ndarray) -> np.ndarray:
     """Distances from one query to every place descriptor of one reference set.
 
     Entry ``i`` equals ``euclidean_distance(query, descriptors[i])`` (to within
     double-precision summation-order differences; exact matches give exactly 0).
     """
-    q = _as_query(query)
-    rows, sq = _prepared_rows(ref)
-    if rows.shape[1] != q.shape[0]:
-        raise ValidationError(
-            f"dimension mismatch: query {q.shape[0]}, reference {rows.shape[1]}"
-        )
-    return metric.one_to_many(q, rows, sq)
+    return _distances(_as_query(query), ref)
 
 
-def distance_stack(
-    query: np.ndarray,
-    refs: list[ReferenceSet],
-    metric: EuclideanMetric = EUCLIDEAN,
-) -> DistanceStack:
-    """Distance vectors for one query against every reference set, in order."""
+def distance_stack(query: np.ndarray, refs: list[ReferenceSet]) -> DistanceStack:
+    """Distance vectors for one query against every reference set, in order.
+
+    The query is validated once for the whole stack.
+    """
     if not refs:
         raise ValidationError("need at least one reference set")
     n = refs[0].n_places
@@ -151,5 +131,5 @@ def distance_stack(
             raise ValidationError(
                 f"reference set {ref.label!r} has {ref.n_places} places, expected {n}"
             )
-    rows = [distance_vector(query, ref, metric) for ref in refs]
-    return DistanceStack(np.stack(rows))
+    q = _as_query(query)
+    return DistanceStack(np.stack([_distances(q, ref) for ref in refs]))

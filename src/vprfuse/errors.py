@@ -10,7 +10,7 @@ class DescriptorFormatError(VPRFuseError):
 
 
 class DescriptorCorruptionError(VPRFuseError):
-    """Descriptor file payload is shorter than its header declares."""
+    """Descriptor file payload size differs from what its header declares."""
 
 
 class ValidationError(VPRFuseError):

@@ -10,14 +10,14 @@ NoInformationError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distance import DistanceStack
 from .errors import NoInformationError, UninformativeReferenceError, ValidationError
 from .likelihood import log_likelihood_ratio
-from .selection import SelectionResult, select_all
+from .selection import SelectionResult
 
 _PRIOR_SUM_TOL = 1e-9
 
@@ -111,11 +111,6 @@ def posterior(
         selection=selection,
         dropped=tuple(dropped),
     )
-
-
-def bayesian_full_fusion(stack: DistanceStack, prior: np.ndarray) -> Belief:
-    """Ablation that fuses every reference set, skipping selection."""
-    return posterior(stack, select_all(stack), prior)
 
 
 def decide(belief: Belief, h: float) -> PlaceDecision:

@@ -20,6 +20,7 @@ Relative paths are resolved against the manifest's directory.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -196,13 +197,16 @@ def read_descriptor_file(path: str | Path) -> np.ndarray:
         if n == 0 or dim == 0:
             raise DescriptorFormatError(f"{path}: zero rows or zero dimension")
         expected = n * dim * 4
-        payload = fh.read(expected + 1)
-    if len(payload) < expected:
-        raise DescriptorCorruptionError(
-            f"{path}: payload truncated ({len(payload)} of {expected} bytes)"
-        )
-    if len(payload) > expected:
-        raise DescriptorCorruptionError(f"{path}: trailing bytes after payload")
+        # Compare the declared payload with the file size before reading, so
+        # a corrupt header cannot demand a buffer larger than the file.
+        stored = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if stored < expected:
+            raise DescriptorCorruptionError(
+                f"{path}: payload truncated ({stored} of {expected} bytes)"
+            )
+        if stored > expected:
+            raise DescriptorCorruptionError(f"{path}: trailing bytes after payload")
+        payload = fh.read(expected)
     arr = np.frombuffer(payload, dtype="<f4").reshape(n, dim)
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{path}: non-finite descriptor value")
@@ -230,7 +234,12 @@ def read_ground_truth(path: str | Path, tolerance: int) -> GroundTruth:
                 continue
             if len(row) != 2:
                 raise ValidationError(f"{path}: malformed row {row!r}")
-            q, p = int(row[0]), int(row[1])
+            try:
+                q, p = int(row[0]), int(row[1])
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{reader.line_num}: non-integer cell in row {row!r}"
+                )
             if q in mapping:
                 raise ValidationError(f"{path}: duplicate query index {q}")
             mapping[q] = p

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import ScoredDecision
 from .errors import ValidationError
-from .fusion import PlaceDecision
 
 
 @dataclass(frozen=True)
@@ -74,32 +72,3 @@ def sequence_aggregate(
     # The k = 0 term always contributes, so count >= 1 everywhere.
     return ScoreMatrix(acc / count, method=matrix.method)
 
-
-def sequence_decide(
-    row: np.ndarray,
-    threshold: float | None = None,
-    method: str = "",
-) -> PlaceDecision | ScoredDecision:
-    """Decide one aggregated row with the underlying method's convention.
-
-    With a ``threshold`` the row is treated as a belief: the argmax place
-    matches only if its score strictly exceeds the threshold (PlaceDecision).
-    Without one the argmax and its score are returned as a sweepable
-    ScoredDecision.  Argmax ties break toward the lowest place index.
-    """
-    arr = np.asarray(row, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] == 0:
-        raise ValidationError(f"row must be non-empty 1-D, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("row contains non-finite entries")
-    place = int(np.argmax(arr))
-    score = float(arr[place])
-    if threshold is None:
-        return ScoredDecision(place=place, confidence=score, method=method)
-    if not (threshold > 0):
-        raise ValidationError(f"threshold must be positive, got {threshold}")
-    return PlaceDecision(
-        place=place if score > threshold else None,
-        confidence=score,
-        threshold=float(threshold),
-    )

@@ -1,82 +1,91 @@
-"""Minimum-distance baseline methods."""
+"""Minimum-distance baseline methods, scored through the method registry.
+
+A distance method's decision is the argmax of its score row and its
+confidence is the row maximum (the negated minimum mean distance).
+"""
 
 import numpy as np
 import pytest
 
-from vprfuse import (
-    DistanceStack,
-    baseline_selective_match,
-    min_ensemble_match,
-    min_value_match,
-    select_all,
-    select_references,
-)
+from vprfuse import DEFAULT_GAMMA, DistanceStack, resolve_method, select_references
+
+LABELS = ["a", "b", "c"]
+
+
+def decision(name, stack, gamma=DEFAULT_GAMMA):
+    """(place, confidence) of a method on one distance stack."""
+    row = resolve_method(name, LABELS).score_row(stack, gamma)
+    return int(np.argmax(row)), row.max()
+
+
+def min_value(d):
+    return decision("min-value:0", DistanceStack(np.asarray(d, dtype=np.float64)[None, :]))
+
+
+def ensemble(stack):
+    return decision("baseline-fusion", stack)
 
 
 class TestMinValueMatch:
     def test_basic(self):
-        d = min_value_match([0.5, 0.2, 0.9])
-        assert d.place == 1
-        assert d.confidence == -0.2
+        place, confidence = min_value([0.5, 0.2, 0.9])
+        assert place == 1
+        assert confidence == -0.2
 
     def test_single_place(self):
-        assert min_value_match([0.3]).place == 0
+        assert min_value([0.3])[0] == 0
 
     def test_tie_breaks_low(self):
-        d = min_value_match([0.9, 0.1, 0.5, 0.7, 0.1])
-        assert d.place == 1
+        place, _ = min_value([0.9, 0.1, 0.5, 0.7, 0.1])
+        assert place == 1
 
     def test_invariant_under_monotone_transform(self, rng):
         d = rng.uniform(0.1, 3.0, size=50)
-        base = min_value_match(d).place
+        base = min_value(d)[0]
         for transform in (np.sqrt, np.exp, lambda x: 10 * x + 2):
-            assert min_value_match(transform(d)).place == base
+            assert min_value(transform(d))[0] == base
 
 
 class TestMinEnsembleMatch:
     def test_sum_arbitrates_disagreeing_sets(self):
         stack = DistanceStack(np.array([[0.5, 0.2], [0.1, 0.6]]))
         # per-set minima disagree (place 1 vs place 0); sums [0.6, 0.8] decide
-        d = min_ensemble_match(stack)
-        assert d.place == 0
-        assert d.confidence == pytest.approx(-0.3)  # negative mean of the sum
+        place, confidence = ensemble(stack)
+        assert place == 0
+        assert confidence == pytest.approx(-0.3)  # negative mean of the sum
 
     def test_single_set_reduces_to_min_value(self, rng):
         row = rng.uniform(0.1, 2.0, size=20)
         stack = DistanceStack(row[None, :])
-        assert min_ensemble_match(stack).place == min_value_match(row).place
-        assert min_ensemble_match(stack).confidence == pytest.approx(
-            min_value_match(row).confidence
-        )
+        assert ensemble(stack)[0] == min_value(row)[0]
+        assert ensemble(stack)[1] == pytest.approx(min_value(row)[1])
 
     def test_identical_sets_agree_with_any_single(self, rng):
         row = rng.uniform(0.1, 2.0, size=15)
         stack = DistanceStack(np.stack([row] * 4))
-        assert min_ensemble_match(stack).place == min_value_match(row).place
+        assert ensemble(stack)[0] == min_value(row)[0]
 
     def test_scale_invariant_argmin(self, rng):
         stack = DistanceStack(rng.uniform(0.1, 2.0, size=(3, 25)))
-        base = min_ensemble_match(stack).place
+        base = ensemble(stack)[0]
         for c in (1e-3, 1e3):
-            assert min_ensemble_match(DistanceStack(c * stack.values)).place == base
+            assert ensemble(DistanceStack(c * stack.values))[0] == base
 
 
 class TestBaselineSelectiveMatch:
     def test_full_selection_equals_ensemble(self, rng):
         stack = DistanceStack(rng.uniform(0.1, 2.0, size=(3, 20)))
-        sel = select_all(stack)
-        got = baseline_selective_match(stack, sel)
-        want = min_ensemble_match(stack)
-        assert (got.place, got.confidence) == (want.place, want.confidence)
+        assert select_references(stack, gamma=1e6).selected == (0, 1, 2)
+        got = decision("baseline-selective", stack, gamma=1e6)
+        assert got == ensemble(stack)
 
     def test_singleton_selection_equals_min_value(self, rng):
         stack = DistanceStack(rng.uniform(0.1, 2.0, size=(3, 20)))
         sel = select_references(stack, gamma=1e-12)
         if len(sel.selected) == 1:
             u = sel.selected[0]
-            got = baseline_selective_match(stack, sel)
-            want = min_value_match(stack.values[u])
-            assert (got.place, got.confidence) == (want.place, want.confidence)
+            got = decision("baseline-selective", stack, gamma=1e-12)
+            assert got == min_value(stack.values[u])
 
     def test_outlier_set_excluded(self):
         rows = np.array(
@@ -89,9 +98,8 @@ class TestBaselineSelectiveMatch:
         stack = DistanceStack(rows)
         sel = select_references(stack, gamma=0.04)
         assert sel.selected == (0, 1)
-        got = baseline_selective_match(stack, sel)
-        want = min_ensemble_match(DistanceStack(rows[:2]))
-        assert (got.place, got.confidence) == (want.place, want.confidence)
+        got = decision("baseline-selective", stack, gamma=0.04)
+        assert got == ensemble(DistanceStack(rows[:2]))
 
 
 class TestConfidenceOrdering:
@@ -99,11 +107,11 @@ class TestConfidenceOrdering:
         # Sorting decisions by confidence must reproduce sorting queries by
         # their defining objective (min distance / min mean distance).
         distances = [rng.uniform(0.1, 2.0, size=30) for _ in range(25)]
-        by_conf = sorted(range(25), key=lambda i: -min_value_match(distances[i]).confidence)
+        by_conf = sorted(range(25), key=lambda i: -min_value(distances[i])[1])
         by_obj = sorted(range(25), key=lambda i: distances[i].min())
         assert by_conf == by_obj
 
         stacks = [DistanceStack(rng.uniform(0.1, 2.0, size=(3, 30))) for _ in range(25)]
-        by_conf = sorted(range(25), key=lambda i: -min_ensemble_match(stacks[i]).confidence)
+        by_conf = sorted(range(25), key=lambda i: -ensemble(stacks[i])[1])
         by_obj = sorted(range(25), key=lambda i: stacks[i].values.mean(axis=0).min())
         assert by_conf == by_obj

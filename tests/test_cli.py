@@ -117,6 +117,16 @@ class TestEval:
         assert code != 0
         assert "error:" in err
 
+    def test_non_integer_ground_truth_exits_2(self, capsys, tmp_path):
+        manifest = synth(capsys, tmp_path / "data")
+        gt = manifest.parent / "ground_truth.csv"
+        gt.write_text(gt.read_text() + "1,abc\n")
+        code, _, err = run(capsys, "eval", "--manifest", str(manifest))
+        assert code == 2
+        # header plus 40 rows, so the appended row is line 42
+        assert err.startswith("error: ") and "ground_truth.csv:42:" in err
+        assert "'1', 'abc'" in err
+
     def test_unknown_method_exits_nonzero(self, capsys, tmp_path):
         manifest = synth(capsys, tmp_path / "data")
         code, _, err = run(
@@ -208,6 +218,9 @@ class TestMatch:
         )
         assert code == 0, err
         assert "top scores" in stdout and "decision: place=" in stdout
+        ds = load_dataset(manifest)
+        means = np.mean([distance_vector(ds.queries[0], ref) for ref in ds.refs], axis=0)
+        assert f"decision: place={int(np.argmin(means))} " in stdout
 
 
 class TestBench:

@@ -5,7 +5,6 @@ import pytest
 
 from vprfuse import (
     DistanceStack,
-    bayesian_full_fusion,
     decide,
     log_likelihood_ratio,
     posterior,
@@ -178,9 +177,11 @@ class TestDecide:
 
 
 class TestBayesianFullFusion:
+    """Full fusion is the posterior over every set (select_all)."""
+
     def test_single_set_reduces_to_posterior(self, rng):
         stack = random_stack(rng, n_refs=1)
-        full = bayesian_full_fusion(stack, uniform_prior(30))
+        full = posterior(stack, select_all(stack), uniform_prior(30))
         single = posterior(stack, select_single(stack, 0), uniform_prior(30))
         np.testing.assert_array_equal(full.normalized, single.normalized)
 
@@ -188,12 +189,12 @@ class TestBayesianFullFusion:
         stack = random_stack(rng)
         sel = select_references(stack, gamma=1e6)
         via_selection = posterior(stack, sel, uniform_prior(30))
-        full = bayesian_full_fusion(stack, uniform_prior(30))
+        full = posterior(stack, select_all(stack), uniform_prior(30))
         np.testing.assert_array_equal(full.normalized, via_selection.normalized)
 
     def test_matches_linear_space_oracle(self, rng):
         stack = random_stack(rng, n_refs=4, n_places=25)
-        full = bayesian_full_fusion(stack, uniform_prior(25))
+        full = posterior(stack, select_all(stack), uniform_prior(25))
         want = posterior_linear_oracle(
             stack.values, tuple(range(4)), uniform_prior(25)
         )

@@ -1,6 +1,7 @@
 """Descriptor file round trips, manifest validation and the synthetic generator."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,18 @@ class TestDescriptorFile:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(DescriptorCorruptionError):
             read_descriptor_file(path)
+
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "d.vprd"
+        path.write_bytes(struct.pack("<4sIII", b"VPRD", 1, 4096, 4096) + bytes(8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DescriptorCorruptionError):
+                read_descriptor_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_nonfinite_payload_rejected(self, tmp_path):
         path = tmp_path / "d.vprd"

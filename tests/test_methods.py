@@ -5,10 +5,7 @@ import pytest
 
 from vprfuse import (
     DistanceStack,
-    baseline_selective_match,
     expand_methods,
-    min_ensemble_match,
-    min_value_match,
     posterior,
     resolve_method,
     select_references,
@@ -86,24 +83,23 @@ class TestRowConsistency:
         m = resolve_method("min-value:1", LABELS)
         row = m.score_row(stack)
         np.testing.assert_array_equal(row, -stack.values[1])
-        d = min_value_match(stack.values[1])
-        assert int(np.argmax(row)) == d.place
-        assert row.max() == d.confidence
+        assert int(np.argmax(row)) == int(np.argmin(stack.values[1]))
+        assert row.max() == -stack.values[1].min()
 
     def test_baseline_fusion_row_matches_decision(self, rng):
         stack = random_stack(rng)
         row = resolve_method("baseline-fusion", LABELS).score_row(stack)
-        d = min_ensemble_match(stack)
-        assert int(np.argmax(row)) == d.place
-        assert row.max() == pytest.approx(d.confidence)
+        means = stack.values.mean(axis=0)
+        assert int(np.argmax(row)) == int(np.argmin(means))
+        assert row.max() == pytest.approx(-means.min())
 
     def test_baseline_selective_row_matches_decision(self, rng):
         stack = random_stack(rng)
         row = resolve_method("baseline-selective", LABELS).score_row(stack, gamma=0.04)
         sel = select_references(stack, gamma=0.04)
-        d = baseline_selective_match(stack, sel)
-        assert int(np.argmax(row)) == d.place
-        assert row.max() == pytest.approx(d.confidence)
+        means = stack.values[list(sel.selected)].mean(axis=0)
+        assert int(np.argmax(row)) == int(np.argmin(means))
+        assert row.max() == pytest.approx(-means.min())
 
     def test_single_reference_all_methods_agree_on_ranking(self, rng):
         # With one reference set every method ranks places from the same

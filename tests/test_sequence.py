@@ -1,11 +1,9 @@
-"""Sliding-window score aggregation and its decisions."""
+"""Sliding-window score aggregation."""
 
 import numpy as np
 import pytest
 
-from vprfuse import ScoreMatrix, sequence_aggregate, sequence_decide
-from vprfuse.baselines import ScoredDecision
-from vprfuse.fusion import PlaceDecision
+from vprfuse import ScoreMatrix, sequence_aggregate
 from vprfuse.errors import ValidationError
 
 
@@ -54,29 +52,3 @@ class TestSequenceAggregate:
         np.testing.assert_allclose(shifted, base + 11.0, rtol=0, atol=1e-12)
         assert np.array_equal(np.argmax(shifted, axis=1), np.argmax(base, axis=1))
 
-
-class TestSequenceDecide:
-    def test_single_peak(self):
-        d = sequence_decide(np.array([0.1, 0.9, 0.2]), method="m")
-        assert isinstance(d, ScoredDecision)
-        assert d.place == 1 and d.confidence == 0.9
-
-    def test_all_equal_row_takes_lowest_index(self):
-        d = sequence_decide(np.full(4, 0.25), method="m")
-        assert d.place == 0
-
-    def test_belief_convention_abstains_at_uniform(self):
-        d = sequence_decide(np.full(4, 0.25), threshold=0.25)
-        assert isinstance(d, PlaceDecision)
-        assert not d.matched  # 1/N not strictly above h = 1/N
-
-    def test_belief_convention_matches_peak(self):
-        d = sequence_decide(np.array([0.1, 0.8, 0.1]), threshold=0.5)
-        assert d.matched and d.place == 1
-
-    def test_matches_argmax_oracle(self, rng):
-        for _ in range(50):
-            row = rng.standard_normal(20)
-            d = sequence_decide(row, method="m")
-            assert d.place == int(np.argmax(row))
-            assert d.confidence == row[d.place]

@@ -29,7 +29,6 @@ from .evaluation import (
     MethodEvaluation,
     PRCurve,
     TimingReport,
-    auc,
     bench_query,
     evaluate_method,
     match_correct,

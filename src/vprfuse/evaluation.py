@@ -64,23 +64,18 @@ class PRCurve:
 
     thresholds: np.ndarray
     points: list[tuple[float, float]]  # (recall, precision)
-    auc: float
 
-
-def _auc_from_points(points: Sequence[tuple[float, float]]) -> float:
-    extended = [(0.0, points[0][1])]
-    extended.extend(points)
-    area = 0.0
-    for (r0, p0), (r1, p1) in zip(extended, extended[1:]):
-        area += (r1 - r0) * (p0 + p1) / 2.0
-    return area
-
-
-def auc(curve: PRCurve) -> float:
-    """Area under a precision-recall curve (recomputed from its points)."""
-    if not curve.points:
-        raise ValidationError("curve needs at least one point")
-    return _auc_from_points(curve.points)
+    @property
+    def auc(self) -> float:
+        """Area under the curve, extended to recall 0 at its first precision."""
+        if not self.points:
+            raise ValidationError("curve needs at least one point")
+        extended = [(0.0, self.points[0][1])]
+        extended.extend(self.points)
+        area = 0.0
+        for (r0, p0), (r1, p1) in zip(extended, extended[1:]):
+            area += (r1 - r0) * (p0 + p1) / 2.0
+        return area
 
 
 def pr_curve(records: Sequence[EvalRecord]) -> PRCurve:
@@ -94,7 +89,7 @@ def pr_curve(records: Sequence[EvalRecord]) -> PRCurve:
     total = len(records)
     decided = [r for r in records if r.place is not None]
     if not decided:
-        return PRCurve(thresholds=np.array([np.inf]), points=[(0.0, 0.0)], auc=0.0)
+        return PRCurve(thresholds=np.array([np.inf]), points=[(0.0, 0.0)])
     conf = np.array([r.confidence for r in decided])
     correct = np.array([bool(r.correct) for r in decided])
     order = np.argsort(-conf, kind="stable")
@@ -107,11 +102,7 @@ def pr_curve(records: Sequence[EvalRecord]) -> PRCurve:
     points = [
         (cum_correct[k] / total, cum_correct[k] / (k + 1)) for k in cutoffs
     ]
-    return PRCurve(
-        thresholds=conf[cutoffs],
-        points=points,
-        auc=_auc_from_points(points),
-    )
+    return PRCurve(thresholds=conf[cutoffs], points=points)
 
 
 @dataclass
@@ -150,13 +141,14 @@ def evaluate_method(
 
     Queries are independent, so ``jobs`` only parallelizes the loop; results
     are identical for any job count.  ``seq_len`` > 1 aggregates the score
-    matrix over trailing windows before deciding.
+    matrix over trailing windows before deciding; ``seq_len`` < 1 raises
+    ValidationError.
     """
     if isinstance(method, str):
         method = resolve_method(method, [r.label for r in dataset.refs])
     rows = _score_rows(dataset, method, gamma, jobs)
     matrix = ScoreMatrix(rows, method=method.name)
-    if seq_len > 1:
+    if seq_len != 1:
         matrix = sequence_aggregate(matrix, seq_len, seq_velocity)
     truth = dataset.ground_truth
     records = []

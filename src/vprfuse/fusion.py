@@ -45,12 +45,7 @@ class Belief:
 
     log_scores: np.ndarray
     normalized: np.ndarray
-    selection: SelectionResult
     dropped: tuple[int, ...] = ()  # selected sets excluded as uninformative
-
-    @property
-    def top_place(self) -> int:
-        return int(np.argmax(self.normalized))
 
 
 @dataclass(frozen=True)
@@ -63,7 +58,6 @@ class PlaceDecision:
 
     place: int | None
     confidence: float
-    threshold: float
 
     @property
     def matched(self) -> bool:
@@ -108,7 +102,6 @@ def posterior(
     return Belief(
         log_scores=log_scores,
         normalized=_normalize_log_scores(log_scores),
-        selection=selection,
         dropped=tuple(dropped),
     )
 
@@ -126,5 +119,4 @@ def decide(belief: Belief, h: float) -> PlaceDecision:
     return PlaceDecision(
         place=place if confidence > h else None,
         confidence=confidence,
-        threshold=float(h),
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -40,7 +40,7 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIII")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReferenceSet:
     """One descriptor per place, captured under a single appearance condition."""
 
@@ -58,7 +58,7 @@ class ReferenceSet:
             raise ValidationError(
                 f"reference set {self.label!r}: non-finite descriptor component"
             )
-        self.descriptors = arr
+        object.__setattr__(self, "descriptors", arr)
 
     @property
     def n_places(self) -> int:
@@ -99,7 +99,7 @@ class DatasetManifest:
     gt_path: Path | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """A fully loaded dataset: immutable after construction, safe to share."""
 
@@ -134,7 +134,7 @@ class Dataset:
             or self.ground_truth.true_place.max() >= n
         ):
             raise ValidationError("ground-truth place index out of range")
-        self.queries = q
+        object.__setattr__(self, "queries", q)
 
     @property
     def n_places(self) -> int:
@@ -224,38 +224,44 @@ def write_ground_truth(path: str | Path, ground_truth: GroundTruth) -> None:
 def read_ground_truth(path: str | Path, tolerance: int) -> GroundTruth:
     """Read the ground-truth CSV; every query index must appear exactly once."""
     mapping: dict[int, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["query_index", "place_index"]:
-            raise ValidationError(f"{path}: expected header 'query_index,place_index'")
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}: malformed row {row!r}")
-            try:
-                q, p = int(row[0]), int(row[1])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{reader.line_num}: non-integer cell in row {row!r}"
-                )
-            if q in mapping:
-                raise ValidationError(f"{path}: duplicate query index {q}")
-            mapping[q] = p
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["query_index", "place_index"]:
+                raise ValidationError(f"{path}: expected header 'query_index,place_index'")
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise ValidationError(f"{path}: malformed row {row!r}")
+                try:
+                    q, p = int(row[0]), int(row[1])
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}:{reader.line_num}: non-integer cell in row {row!r}"
+                    )
+                if q in mapping:
+                    raise ValidationError(f"{path}: duplicate query index {q}")
+                if not 0 <= p < 2**63:  # stored as int64
+                    raise ValidationError(f"{path}:{reader.line_num}: place index out of range")
+                mapping[q] = p
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: {exc}")
     if not mapping:
         raise ValidationError(f"{path}: empty ground truth")
-    n = max(mapping) + 1
-    if sorted(mapping) != list(range(n)):
+    # The indices are distinct, so they cover 0..n-1 exactly when min and max do.
+    n = len(mapping)
+    if min(mapping) != 0 or max(mapping) != n - 1:
         raise ValidationError(f"{path}: query indices must cover 0..{n - 1}")
     return GroundTruth(np.array([mapping[q] for q in range(n)]), tolerance)
 
 
-def _parse_int(key: str, value: str, lineno: int) -> int:
+def _parse_int(path: Path, key: str, value: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ManifestError(f"line {lineno}: {key} must be an integer, got {value!r}")
+        raise ManifestError(f"{path}: {key} must be an integer, got {value!r}")
 
 
 _SCALAR_KEYS = frozenset({"places", "dim", "query", "gt_tolerance", "gt"})
@@ -266,39 +272,42 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
     base = path.parent
     scalars: dict[str, str] = {}
     refs: list[tuple[str, Path]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ManifestError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "ref":
-                label, sep, ref_path = value.partition(",")
-                if not sep or not label.strip() or not ref_path.strip():
-                    raise ManifestError(
-                        f"{path}:{lineno}: ref needs '<label>,<path>', got {value!r}"
-                    )
-                refs.append((label.strip(), base / ref_path.strip()))
-            elif key in _SCALAR_KEYS:
-                if key in scalars:
-                    raise ManifestError(f"{path}:{lineno}: duplicate key {key!r}")
-                scalars[key] = value
-            else:
-                raise ManifestError(f"{path}:{lineno}: unknown key {key!r}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: {exc}")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ManifestError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key == "ref":
+            label, sep, ref_path = value.partition(",")
+            if not sep or not label.strip() or not ref_path.strip():
+                raise ManifestError(
+                    f"{path}:{lineno}: ref needs '<label>,<path>', got {value!r}"
+                )
+            refs.append((label.strip(), base / ref_path.strip()))
+        elif key in _SCALAR_KEYS:
+            if key in scalars:
+                raise ManifestError(f"{path}:{lineno}: duplicate key {key!r}")
+            scalars[key] = value
+        else:
+            raise ManifestError(f"{path}:{lineno}: unknown key {key!r}")
     missing = {"places", "dim", "query", "gt_tolerance"} - set(scalars)
     if missing:
         raise ManifestError(f"{path}: missing keys {sorted(missing)}")
     if not refs:
         raise ManifestError(f"{path}: needs at least one 'ref = <label>,<path>'")
-    tolerance = _parse_int("gt_tolerance", scalars["gt_tolerance"], 0)
+    tolerance = _parse_int(path, "gt_tolerance", scalars["gt_tolerance"])
     if tolerance < 0:
         raise ManifestError(f"{path}: gt_tolerance must be non-negative")
     return DatasetManifest(
-        places=_parse_int("places", scalars["places"], 0),
-        dim=_parse_int("dim", scalars["dim"], 0),
+        places=_parse_int(path, "places", scalars["places"]),
+        dim=_parse_int(path, "dim", scalars["dim"]),
         query_path=base / scalars["query"],
         gt_tolerance=tolerance,
         refs=refs,
@@ -373,15 +382,11 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     return Dataset(refs=refs, queries=queries, ground_truth=ground_truth)
 
 
-@dataclass
-class SyntheticDataset:
-    refs: list[ReferenceSet]
-    queries: np.ndarray  # (n_places, dim) float32
-    ground_truth: GroundTruth
-    query_conditions: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+@dataclass(frozen=True)
+class SyntheticDataset(Dataset):
+    """A generated dataset plus the condition each query was drawn from."""
 
-    def as_dataset(self) -> Dataset:
-        return Dataset(self.refs, self.queries, self.ground_truth)
+    query_conditions: np.ndarray  # (n_queries,) int64
 
 
 def generate_synthetic(
@@ -417,9 +422,10 @@ def generate_synthetic(
             raise ValidationError(
                 f"mixture needs {n_conditions} weights, got {weights.shape}"
             )
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise ValidationError("mixture weights must be non-negative, sum > 0")
-        weights = weights / weights.sum()
+        total = weights.sum()
+        if not (np.all(weights >= 0) and 0 < total < np.inf):
+            raise ValidationError("mixture weights must be finite, non-negative, sum > 0")
+        weights = weights / total
 
     rng = np.random.default_rng(seed)
     latent = place_spread * rng.standard_normal((n_places, dim))

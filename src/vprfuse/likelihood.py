@@ -75,14 +75,13 @@ def log_likelihood_ratio(d: np.ndarray) -> np.ndarray:
     has (numerically) zero variance: such a set offers no contrast between
     places and the ratio would be unbounded.
     """
-    arr = _as_distances(d)
-    counts = place_match_counts(arr)
-    params = gaussian_params(arr)
+    counts = place_match_counts(d)
+    params = gaussian_params(d)
     if params.sigma2 <= SIGMA2_MIN:
         raise DegenerateReferenceError(
             f"distance variance {params.sigma2:.3e} below {SIGMA2_MIN:.0e}"
         )
-    resid = arr - params.mu
+    resid = np.asarray(d, dtype=np.float64) - params.mu
     log_pdf = -0.5 * (_LOG_2PI + math.log(params.sigma2)) - resid * resid / (
         2.0 * params.sigma2
     )

@@ -23,7 +23,7 @@ reference set).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,19 +41,29 @@ from .selection import (
 BELIEF = "belief"
 DISTANCE = "distance"
 
-Selector = Callable[[DistanceStack, float], SelectionResult]
+# Selection rules besides a reference-set index.
+GAMMA = "gamma"
+ALL = "all"
 
 
 @dataclass(frozen=True)
 class Method:
-    """A named selector plus a scoring convention (belief or distance)."""
+    """A named selection rule plus a scoring convention (belief or distance).
+
+    ``rule`` is GAMMA (select_references), ALL (select_all) or the index of
+    the one reference set the method uses (select_single).
+    """
 
     name: str
     kind: str
-    selector: Selector
+    rule: str | int
 
     def select(self, stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> SelectionResult:
-        return self.selector(stack, gamma)
+        if self.rule == GAMMA:
+            return select_references(stack, gamma)
+        if self.rule == ALL:
+            return select_all(stack)
+        return select_single(stack, self.rule)
 
     def fuse(self, stack: DistanceStack, selection: SelectionResult) -> np.ndarray:
         """Score row for an already-computed selection."""
@@ -70,26 +80,11 @@ class Method:
         return self.fuse(stack, self.select(stack, gamma))
 
 
-def _gamma_selector(stack: DistanceStack, gamma: float) -> SelectionResult:
-    return select_references(stack, gamma)
-
-
-def _all_selector(stack: DistanceStack, gamma: float) -> SelectionResult:
-    return select_all(stack)
-
-
-def _single_selector(index: int) -> Selector:
-    def selector(stack: DistanceStack, gamma: float) -> SelectionResult:
-        return select_single(stack, index)
-
-    return selector
-
-
 _FUSION_METHODS = {
-    "bayes-selective": (BELIEF, _gamma_selector),
-    "bayes-full": (BELIEF, _all_selector),
-    "baseline-fusion": (DISTANCE, _all_selector),
-    "baseline-selective": (DISTANCE, _gamma_selector),
+    "bayes-selective": (BELIEF, GAMMA),
+    "bayes-full": (BELIEF, ALL),
+    "baseline-fusion": (DISTANCE, ALL),
+    "baseline-selective": (DISTANCE, GAMMA),
 }
 
 _SINGLE_PREFIXES = {"bayes-single": BELIEF, "min-value": DISTANCE}
@@ -122,15 +117,15 @@ def _single_name(prefix: str, index: int, labels: Sequence[str]) -> str:
 def resolve_method(name: str, labels: Sequence[str]) -> Method:
     """Resolve one selector string against a dataset's reference labels."""
     if name in _FUSION_METHODS:
-        kind, selector = _FUSION_METHODS[name]
-        return Method(name=name, kind=kind, selector=selector)
+        kind, rule = _FUSION_METHODS[name]
+        return Method(name=name, kind=kind, rule=rule)
     prefix, sep, token = name.partition(":")
     if sep and prefix in _SINGLE_PREFIXES:
         index = _resolve_ref(token, labels)
         return Method(
             name=_single_name(prefix, index, labels),
             kind=_SINGLE_PREFIXES[prefix],
-            selector=_single_selector(index),
+            rule=index,
         )
     raise ValidationError(f"unknown method {name!r}; see 'all' for the roster")
 

@@ -8,7 +8,6 @@ distances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,6 @@ class SelectionResult:
 
     best: int
     selected: tuple[int, ...]
-    gamma: float
     minima: np.ndarray = field(repr=False)
     zero_limit: bool = False
 
@@ -67,7 +65,6 @@ def select_references(stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> Sel
         return SelectionResult(
             best=best,
             selected=tuple(int(u) for u in selected),
-            gamma=float(gamma),
             minima=minima,
             zero_limit=True,
         )
@@ -76,7 +73,6 @@ def select_references(stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> Sel
     return SelectionResult(
         best=best,
         selected=tuple(int(u) for u in selected),
-        gamma=float(gamma),
         minima=minima,
     )
 
@@ -86,7 +82,6 @@ def select_all(stack: DistanceStack) -> SelectionResult:
     return SelectionResult(
         best=best_reference(stack),
         selected=tuple(range(stack.n_refs)),
-        gamma=math.inf,
         minima=stack.minima(),
     )
 
@@ -100,6 +95,5 @@ def select_single(stack: DistanceStack, index: int) -> SelectionResult:
     return SelectionResult(
         best=index,
         selected=(index,),
-        gamma=math.inf,
         minima=stack.minima(),
     )

@@ -38,10 +38,6 @@ class ScoreMatrix:
     def n_queries(self) -> int:
         return self.scores.shape[0]
 
-    @property
-    def n_places(self) -> int:
-        return self.scores.shape[1]
-
 
 def sequence_aggregate(
     matrix: ScoreMatrix, length: int, velocity: float = 1.0

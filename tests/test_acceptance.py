@@ -183,7 +183,7 @@ _FROZEN_SEQ5_AUC = 1.0
 
 @pytest.fixture(scope="module")
 def protocol_dataset():
-    return generate_synthetic(**_PROTOCOL).as_dataset()
+    return generate_synthetic(**_PROTOCOL)
 
 
 def test_criterion_6_synthetic_protocol_ordering(protocol_dataset):
@@ -228,7 +228,7 @@ def test_criterion_8_timing_scale():
         start = time.perf_counter()
         shape = dict(n_places=3000, dim=4096, place_spread=1.0,
                      condition_scale=0.9, query_noise=0.5)
-        data_m3 = generate_synthetic(seed=8, n_conditions=3, **shape).as_dataset()
+        data_m3 = generate_synthetic(seed=8, n_conditions=3, **shape)
         report_m3 = bench_query(
             data_m3, method="bayes-selective", repetitions=3, n_queries=24
         )
@@ -237,7 +237,7 @@ def test_criterion_8_timing_scale():
         # |S| scaling via full fusion, where the fused count is exactly M
         full_m3 = bench_query(data_m3, method="bayes-full", repetitions=3, n_queries=24)
         del data_m3
-        data_m6 = generate_synthetic(seed=8, n_conditions=6, **shape).as_dataset()
+        data_m6 = generate_synthetic(seed=8, n_conditions=6, **shape)
         full_m6 = bench_query(data_m6, method="bayes-full", repetitions=3, n_queries=24)
         del data_m6
         ratio = full_m6.phases["fusion"].median_s / full_m3.phases["fusion"].median_s
@@ -272,7 +272,7 @@ def test_criterion_9_degenerate_inputs():
         # single-place dataset: the likelihood needs two places, so the
         # posterior raises and the methods layer degrades to the prior;
         # the full evaluation pipeline still runs
-        tiny = generate_synthetic(seed=1, n_places=1, n_conditions=2, dim=4).as_dataset()
+        tiny = generate_synthetic(seed=1, n_places=1, n_conditions=2, dim=4)
         one_place = distance_stack(tiny.queries[0], tiny.refs)
         with pytest.raises(NoInformationError):
             posterior(one_place, select_single(one_place, 0), uniform_prior(1))

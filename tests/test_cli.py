@@ -55,6 +55,14 @@ class TestSynth:
             hit_third += mins[2] == 0.0
         assert hit_third == 0
 
+    @pytest.mark.parametrize("mixture", ["1,nan,0", "1,inf,0"])
+    def test_non_finite_mixture_exits_2(self, capsys, tmp_path, mixture):
+        code, _, err = run(
+            capsys, "synth", "--out", str(tmp_path / "data"), "--mixture", mixture
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "mixture" in err
+
 
 class TestEval:
     def test_pr_csv_and_summary(self, capsys, tmp_path):
@@ -126,6 +134,38 @@ class TestEval:
         # header plus 40 rows, so the appended row is line 42
         assert err.startswith("error: ") and "ground_truth.csv:42:" in err
         assert "'1', 'abc'" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"query_index,place_index\n0,\xff\n",
+            b"query_index,place_index\n0," + b"1" * 131073 + b"\n",
+            b"query_index,place_index\n1000000000000000000,0\n",
+        ],
+        ids=["non-utf8", "oversized-cell", "huge-index"],
+    )
+    def test_unreadable_ground_truth_exits_2(self, capsys, tmp_path, content):
+        manifest = synth(capsys, tmp_path / "data")
+        (manifest.parent / "ground_truth.csv").write_bytes(content)
+        code, _, err = run(capsys, "eval", "--manifest", str(manifest))
+        assert code == 2
+        assert err.startswith("error: ") and "ground_truth.csv" in err
+
+    def test_non_utf8_manifest_exits_2(self, capsys, tmp_path):
+        manifest = synth(capsys, tmp_path / "data")
+        manifest.write_bytes(b"places = 40\xff\n")
+        code, _, err = run(capsys, "eval", "--manifest", str(manifest))
+        assert code == 2
+        assert err.startswith("error: ") and "manifest.txt" in err
+
+    @pytest.mark.parametrize("seq_len", ["0", "-3"])
+    def test_sequence_length_below_one_exits_2(self, capsys, tmp_path, seq_len):
+        manifest = synth(capsys, tmp_path / "data")
+        code, _, err = run(
+            capsys, "eval", "--manifest", str(manifest), "--seq-len", seq_len
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "sequence length" in err
 
     def test_unknown_method_exits_nonzero(self, capsys, tmp_path):
         manifest = synth(capsys, tmp_path / "data")

@@ -6,7 +6,6 @@ import pytest
 from vprfuse import (
     EvalRecord,
     PRCurve,
-    auc,
     bench_query,
     evaluate_method,
     generate_synthetic,
@@ -133,20 +132,19 @@ class TestPRCurve:
 class TestAUC:
     def _curve(self, points):
         return PRCurve(thresholds=np.arange(len(points), 0, -1, dtype=float),
-                       points=list(points), auc=float("nan"))
+                       points=list(points))
 
     def test_flat_one(self):
-        assert auc(self._curve([(0.0, 1.0), (1.0, 1.0)])) == 1.0
+        assert self._curve([(0.0, 1.0), (1.0, 1.0)]).auc == 1.0
 
     def test_triangle(self):
-        assert auc(self._curve([(0.0, 1.0), (1.0, 0.0)])) == 0.5
+        assert self._curve([(0.0, 1.0), (1.0, 0.0)]).auc == 0.5
 
     def test_matches_dense_integration(self, rng):
         for _ in range(20):
             records = random_records(rng, int(rng.integers(2, 200)), tie_rate=0.3)
             curve = pr_curve(records)
             assert curve.auc == pytest.approx(auc_dense_oracle(curve.points), abs=1e-6)
-            assert auc(curve) == pytest.approx(curve.auc, abs=1e-15)
 
     def test_in_unit_interval(self, rng):
         for _ in range(30):
@@ -156,7 +154,7 @@ class TestAUC:
     def test_dominating_curve_has_larger_auc(self):
         lo = self._curve([(0.0, 0.4), (0.5, 0.4), (1.0, 0.2)])
         hi = self._curve([(0.0, 0.8), (0.5, 0.6), (1.0, 0.5)])
-        assert auc(hi) >= auc(lo)
+        assert hi.auc >= lo.auc
 
     def test_raising_cutoff_never_increases_recall(self, rng):
         records = random_records(rng, 80, tie_rate=0.2)
@@ -170,20 +168,20 @@ class TestAUC:
 
 class TestEvaluateMethod:
     def test_records_cover_every_query(self):
-        ds = generate_synthetic(seed=3, n_places=40, n_conditions=2, dim=8).as_dataset()
+        ds = generate_synthetic(seed=3, n_places=40, n_conditions=2, dim=8)
         result = evaluate_method(ds, "bayes-selective")
         assert [r.query for r in result.records] == list(range(40))
         assert result.scores.n_queries == 40
 
     def test_jobs_do_not_change_results(self):
-        ds = generate_synthetic(seed=3, n_places=30, n_conditions=3, dim=8).as_dataset()
+        ds = generate_synthetic(seed=3, n_places=30, n_conditions=3, dim=8)
         serial = evaluate_method(ds, "bayes-selective", jobs=1)
         parallel = evaluate_method(ds, "bayes-selective", jobs=4)
         np.testing.assert_array_equal(serial.scores.scores, parallel.scores.scores)
         assert serial.curve.auc == parallel.curve.auc
 
     def test_sequence_length_one_identical(self):
-        ds = generate_synthetic(seed=5, n_places=25, n_conditions=2, dim=8).as_dataset()
+        ds = generate_synthetic(seed=5, n_places=25, n_conditions=2, dim=8)
         single = evaluate_method(ds, "bayes-selective", seq_len=1)
         explicit = evaluate_method(ds, "bayes-selective")
         np.testing.assert_array_equal(single.scores.scores, explicit.scores.scores)
@@ -192,7 +190,7 @@ class TestEvaluateMethod:
     def test_tolerance_applied(self):
         ds = generate_synthetic(
             seed=5, n_places=25, n_conditions=1, dim=8, gt_tolerance=25
-        ).as_dataset()
+        )
         result = evaluate_method(ds, "min-value:0")
         assert all(r.correct for r in result.records)  # everything within band
         assert result.curve.auc == 1.0
@@ -200,20 +198,20 @@ class TestEvaluateMethod:
 
 class TestBenchQuery:
     def test_tiny_dataset_completes_with_nonzero_timing(self):
-        ds = generate_synthetic(seed=1, n_places=1, n_conditions=1, dim=4).as_dataset()
+        ds = generate_synthetic(seed=1, n_places=1, n_conditions=1, dim=4)
         report = bench_query(ds, repetitions=2, n_queries=1)
         assert report.n_samples == 2
         assert report.phases["total"].mean_s > 0.0
         assert set(report.phases) == {"distance", "selection", "fusion", "total"}
 
     def test_phases_sum_to_total(self):
-        ds = generate_synthetic(seed=1, n_places=50, n_conditions=2, dim=8).as_dataset()
+        ds = generate_synthetic(seed=1, n_places=50, n_conditions=2, dim=8)
         report = bench_query(ds, repetitions=3, n_queries=5)
         total = report.phases["total"].mean_s
         parts = sum(report.phases[p].mean_s for p in ("distance", "selection", "fusion"))
         assert parts == pytest.approx(total, rel=0.05)
 
     def test_invalid_parameters(self):
-        ds = generate_synthetic(seed=1, n_places=5, n_conditions=1, dim=4).as_dataset()
+        ds = generate_synthetic(seed=1, n_places=5, n_conditions=1, dim=4)
         with pytest.raises(ValidationError):
             bench_query(ds, repetitions=0)

@@ -1,5 +1,6 @@
 """Descriptor file round trips, manifest validation and the synthetic generator."""
 
+import dataclasses
 import struct
 import tracemalloc
 
@@ -14,6 +15,7 @@ from vprfuse import (
     DatasetManifest,
     GroundTruth,
     ReferenceSet,
+    SyntheticDataset,
     distance_vector,
     generate_synthetic,
     load_dataset,
@@ -193,6 +195,13 @@ class TestManifest:
         with pytest.raises(ManifestError):
             parse_manifest(mp)
 
+    def test_non_integer_value_names_the_manifest(self, tmp_path):
+        mp = self._write_dataset(tmp_path)
+        mp.write_text(mp.read_text().replace("places = 6", "places = x"))
+        with pytest.raises(ManifestError, match="places must be an integer") as info:
+            parse_manifest(mp)
+        assert str(mp) in str(info.value) and "line 0" not in str(info.value)
+
     def test_bad_ref_value_rejected(self, tmp_path):
         mp = tmp_path / "m.txt"
         mp.write_text("places = 1\ndim = 1\nquery = q\ngt_tolerance = 0\nref = nopath\n")
@@ -243,6 +252,13 @@ class TestGroundTruthFile:
         path = tmp_path / "gt.csv"
         path.write_text("query_index,place_index\n0,0\n2,2\n")
         with pytest.raises(ValidationError):
+            read_ground_truth(path, 0)
+
+    @pytest.mark.parametrize("place", ["-1", str(2**63)])
+    def test_place_index_outside_int64_rejected(self, tmp_path, place):
+        path = tmp_path / "gt.csv"
+        path.write_text(f"query_index,place_index\n0,{place}\n")
+        with pytest.raises(ValidationError, match="out of range"):
             read_ground_truth(path, 0)
 
 
@@ -297,6 +313,9 @@ class TestSyntheticGenerator:
             generate_synthetic(mixture=(1.0,))  # wrong length
         with pytest.raises(ValidationError):
             generate_synthetic(n_conditions=2, mixture=(-1.0, 2.0))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                generate_synthetic(n_conditions=2, mixture=(1.0, bad))
 
     def test_matching_condition_min_value_solves_default_instance(self):
         # Frozen at defaults: 195/200 queries solved by nearest neighbor within
@@ -310,11 +329,12 @@ class TestSyntheticGenerator:
         assert correct == 195
         assert correct / 200 >= 0.95
 
-    def test_as_dataset_validates(self):
+    def test_synthetic_dataset_is_a_validated_dataset(self):
         d = generate_synthetic(seed=0, n_places=8, n_conditions=2, dim=4)
-        ds = d.as_dataset()
-        assert isinstance(ds, Dataset)
-        assert ds.n_places == 8
+        assert isinstance(d, Dataset)
+        assert d.n_places == 8
+        with pytest.raises(ValidationError):
+            SyntheticDataset(d.refs, d.queries[:, :3], d.ground_truth, d.query_conditions)
 
 
 class TestReferenceSetValidation:
@@ -325,6 +345,15 @@ class TestReferenceSetValidation:
     def test_rejects_1d(self):
         with pytest.raises(ValidationError):
             ReferenceSet("x", np.arange(4.0))
+
+    def test_frozen_after_validation(self):
+        ref = ReferenceSet("x", np.ones((3, 2), dtype=np.float32))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ref.descriptors = np.ones((5, 2))
+        ds = Dataset([ref], np.ones((3, 2), dtype=np.float32), GroundTruth(np.arange(3), 0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.queries = np.ones((4, 2))
+        assert ref.n_places == 3 and ds.queries.shape == (3, 2)
 
     def test_dataset_rejects_mixed_shapes(self):
         a = ReferenceSet("a", np.ones((3, 2), dtype=np.float32))

@@ -37,6 +37,7 @@ class TestRegistry:
         by_index = resolve_method("min-value:2", LABELS)
         by_label = resolve_method("min-value:night", LABELS)
         assert by_index.name == by_label.name == "min-value:night"
+        assert by_index == by_label
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):

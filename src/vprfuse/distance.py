@@ -65,27 +65,9 @@ def _as_query(query: np.ndarray) -> np.ndarray:
     return q
 
 
-def _prepared_rows(ref: ReferenceSet | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The float64 copy and row norms are cached on ReferenceSet instances;
-    # recomputation under a concurrent first touch is idempotent.
-    if isinstance(ref, ReferenceSet):
-        cache = ref.__dict__.get("_distance_cache")
-        if cache is None:
-            rows = np.ascontiguousarray(ref.descriptors, dtype=np.float64)
-            cache = (rows, np.einsum("ij,ij->i", rows, rows))
-            ref.__dict__["_distance_cache"] = cache
-        return cache
-    rows = np.ascontiguousarray(ref, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise ValidationError(
-            f"reference descriptors must be a non-empty 2-D array, got {rows.shape}"
-        )
-    return rows, np.einsum("ij,ij->i", rows, rows)
-
-
-def _distances(q: np.ndarray, ref: ReferenceSet | np.ndarray) -> np.ndarray:
+def _distances(q: np.ndarray, ref: ReferenceSet) -> np.ndarray:
     """Kernel: distances from a validated float64 query to every row of ``ref``."""
-    rows, row_sq_norms = _prepared_rows(ref)
+    rows, row_sq_norms = ref.descriptors, ref.sq_norms
     if rows.shape[1] != q.shape[0]:
         raise ValidationError(
             f"dimension mismatch: query {q.shape[0]}, reference {rows.shape[1]}"
@@ -114,7 +96,10 @@ def distance_vector(query: np.ndarray, ref: ReferenceSet | np.ndarray) -> np.nda
 
     Entry ``i`` equals ``euclidean_distance(query, descriptors[i])`` (to within
     double-precision summation-order differences; exact matches give exactly 0).
+    A raw array is wrapped in a ReferenceSet, so it is validated the same way.
     """
+    if not isinstance(ref, ReferenceSet):
+        ref = ReferenceSet("array", ref)
     return _distances(_as_query(query), ref)
 
 

@@ -195,7 +195,7 @@ def bench_query(
 ) -> TimingReport:
     """Wall-clock per-query cost, split into distance / selection / fusion.
 
-    The reference database is warmed into memory first; I/O is excluded.
+    One warm-up query runs first; I/O is excluded.
     Queries run sequentially (opt into parallelism at the evaluation layer,
     not here, so timings stay comparable).
     """
@@ -205,7 +205,6 @@ def bench_query(
         method = resolve_method(method, [r.label for r in dataset.refs])
     queries = dataset.queries[: min(n_queries, dataset.queries.shape[0])]
 
-    # Warm-up builds the cached float64 reference rows and norms.
     method.score_row(distance_stack(queries[0], dataset.refs), gamma)
 
     samples: dict[str, list[float]] = {k: [] for k in TimingReport.PHASE_ORDER}

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -42,23 +42,31 @@ _HEADER = struct.Struct("<4sIII")
 
 @dataclass(frozen=True)
 class ReferenceSet:
-    """One descriptor per place, captured under a single appearance condition."""
+    """One descriptor per place, captured under a single appearance condition.
+
+    ``descriptors`` is the set's own read-only, C-contiguous float64 copy of
+    the input and ``sq_norms`` its squared row norms, both fixed at creation.
+    """
 
     label: str
-    descriptors: np.ndarray  # (n_places, dim)
+    descriptors: np.ndarray  # (n_places, dim) float64, read-only
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)  # (n_places,)
 
     def __post_init__(self):
-        arr = np.asarray(self.descriptors)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        rows = np.array(self.descriptors, dtype=np.float64, order="C")
+        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise ValidationError(
                 f"reference set {self.label!r}: descriptors must be a non-empty "
-                f"2-D array, got shape {arr.shape}"
+                f"2-D array, got shape {rows.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(rows)):
             raise ValidationError(
                 f"reference set {self.label!r}: non-finite descriptor component"
             )
-        object.__setattr__(self, "descriptors", arr)
+        sq_norms = np.einsum("ij,ij->i", rows, rows)
+        rows.flags.writeable = sq_norms.flags.writeable = False
+        object.__setattr__(self, "descriptors", rows)
+        object.__setattr__(self, "sq_norms", sq_norms)
 
     @property
     def n_places(self) -> int:
@@ -101,7 +109,10 @@ class DatasetManifest:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A fully loaded dataset: immutable after construction, safe to share."""
+    """A fully loaded dataset: immutable after construction, safe to share.
+
+    Each reference set owns its float64 rows; ``queries`` keeps its dtype.
+    """
 
     refs: list[ReferenceSet]
     queries: np.ndarray  # (n_queries, dim)
@@ -414,6 +425,8 @@ def generate_synthetic(
         raise ValidationError("need at least one place and one condition")
     if dim < 1:
         raise ValidationError("dimension must be positive")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     if mixture is None:
         weights = np.full(n_conditions, 1.0 / n_conditions)
     else:

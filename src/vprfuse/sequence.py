@@ -53,8 +53,8 @@ def sequence_aggregate(
         raise ValidationError(
             f"sequence length {length} exceeds query count {matrix.n_queries}"
         )
-    if not (velocity > 0):
-        raise ValidationError(f"velocity must be positive, got {velocity}")
+    if not (0 < velocity < np.inf):
+        raise ValidationError(f"velocity must be positive and finite, got {velocity}")
     scores = matrix.scores
     n_t, n_p = scores.shape
     acc = np.zeros_like(scores)

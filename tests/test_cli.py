@@ -63,6 +63,11 @@ class TestSynth:
         assert code == 2
         assert err.startswith("error: ") and "mixture" in err
 
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "synth", "--out", str(tmp_path / "data"), "--seed", "-1")
+        assert code == 2
+        assert err.startswith("error: ") and "seed" in err
+
 
 class TestEval:
     def test_pr_csv_and_summary(self, capsys, tmp_path):
@@ -166,6 +171,15 @@ class TestEval:
         )
         assert code == 2
         assert err.startswith("error: ") and "sequence length" in err
+
+    def test_infinite_velocity_exits_2(self, capsys, tmp_path):
+        manifest = synth(capsys, tmp_path / "data")
+        code, _, err = run(
+            capsys, "eval", "--manifest", str(manifest),
+            "--seq-len", "2", "--seq-velocity", "inf",
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "velocity" in err
 
     def test_unknown_method_exits_nonzero(self, capsys, tmp_path):
         manifest = synth(capsys, tmp_path / "data")

@@ -94,6 +94,12 @@ class TestDistanceVector:
             distance_vector(q, descs[perm]), distance_vector(q, descs)[perm]
         )
 
+    def test_raw_array_is_validated_like_a_reference_set(self):
+        with pytest.raises(ValidationError):
+            distance_vector(np.zeros(2), np.array([[np.nan, 1.0], [1.0, 1.0]]))
+        with pytest.raises(ValidationError):
+            distance_vector(np.zeros(2), np.zeros(2))
+
     def test_near_duplicate_rows_stay_accurate(self):
         # Entries subject to catastrophic cancellation in the expanded form
         # are re-evaluated exactly.
@@ -156,7 +162,7 @@ class TestLinearScaling:
             n: ReferenceSet(f"n{n}", rng.standard_normal((n, dim)).astype(np.float32))
             for n in sizes
         }
-        for ref in refs.values():  # warm caches before timing
+        for ref in refs.values():  # warm up BLAS and CPU caches before timing
             distance_vector(q, ref)
         per_place = {}
         for n, ref in refs.items():

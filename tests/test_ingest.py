@@ -16,6 +16,7 @@ from vprfuse import (
     GroundTruth,
     ReferenceSet,
     SyntheticDataset,
+    distance_stack,
     distance_vector,
     generate_synthetic,
     load_dataset,
@@ -316,6 +317,8 @@ class TestSyntheticGenerator:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValidationError):
                 generate_synthetic(n_conditions=2, mixture=(1.0, bad))
+        with pytest.raises(ValidationError):
+            generate_synthetic(seed=-1)
 
     def test_matching_condition_min_value_solves_default_instance(self):
         # Frozen at defaults: 195/200 queries solved by nearest neighbor within
@@ -354,6 +357,45 @@ class TestReferenceSetValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ds.queries = np.ones((4, 2))
         assert ref.n_places == 3 and ds.queries.shape == (3, 2)
+
+    def test_rows_are_a_read_only_copy(self, rng):
+        original = rng.standard_normal((4, 3)).astype(np.float32)
+        ref = ReferenceSet("x", original)
+        q = rng.standard_normal(3)
+        before = distance_vector(q, ref)
+        assert ref.descriptors.dtype == np.float64 and ref.descriptors.flags.c_contiguous
+        with pytest.raises(ValueError):
+            ref.descriptors[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ref.sq_norms[0] = 1.0
+        original[:] = np.nan  # the caller's array stays writable and unshared
+        np.testing.assert_array_equal(distance_vector(q, ref), before)
+
+    def test_load_retains_one_float64_copy_of_the_rows(self, tmp_path, rng):
+        # 3 x 2000 x 64 references and 8 queries: what load_dataset and one
+        # distance stack keep alive must be about the float64 rows, not the
+        # float32 file contents on top of them.
+        n_refs, n_places, dim = 3, 2000, 64
+        refs = []
+        for u in range(n_refs):
+            path = tmp_path / f"ref{u}.vprd"
+            write_descriptor_file(path, rng.standard_normal((n_places, dim)))
+            refs.append((f"c{u}", path))
+        write_descriptor_file(tmp_path / "q.vprd", rng.standard_normal((8, dim)))
+        manifest = tmp_path / "manifest.txt"
+        write_manifest(
+            manifest, DatasetManifest(n_places, dim, tmp_path / "q.vprd", 0, refs)
+        )
+        tracemalloc.start()
+        try:
+            ds = load_dataset(manifest)
+            stack = distance_stack(ds.queries[0], ds.refs)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stack.n_refs == n_refs
+        float64_rows = n_refs * n_places * dim * 8
+        assert retained < 1.2 * float64_rows, retained / float64_rows
 
     def test_dataset_rejects_mixed_shapes(self):
         a = ReferenceSet("a", np.ones((3, 2), dtype=np.float32))

@@ -42,8 +42,9 @@ class TestSequenceAggregate:
             sequence_aggregate(m, 4)
         with pytest.raises(ValidationError):
             sequence_aggregate(m, 0)
-        with pytest.raises(ValidationError):
-            sequence_aggregate(m, 2, velocity=0.0)
+        for velocity in (0.0, np.inf, np.nan):
+            with pytest.raises(ValidationError):
+                sequence_aggregate(m, 2, velocity=velocity)
 
     def test_commutes_with_constant_shift(self, rng):
         rows = rng.standard_normal((8, 5))

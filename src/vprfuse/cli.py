@@ -98,7 +98,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             gamma=args.gamma,
             seq_len=args.seq_len,
             seq_velocity=args.seq_velocity,
-            jobs=args.jobs,
         )
         lines = ["threshold,recall,precision"]
         for cutoff, (recall, precision) in zip(result.curve.thresholds, result.curve.points):
@@ -239,7 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--method", default="bayes-selective", help="method name or 'all'")
     evalp.add_argument("--seq-len", type=int, default=1)
     evalp.add_argument("--seq-velocity", type=float, default=1.0)
-    evalp.add_argument("--jobs", type=int, default=1)
     evalp.add_argument("--out", type=Path, default=None, help="write CSVs here instead of stdout")
 
     match = sub.add_parser("match", parents=[shared], help="diagnose a single query")

@@ -15,7 +15,6 @@ agreement with externally reported values is not guaranteed.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from statistics import median
 from typing import Sequence
@@ -113,56 +112,40 @@ class MethodEvaluation:
     scores: ScoreMatrix
 
 
-def _score_rows(
-    dataset: Dataset, method: Method, gamma: float, jobs: int
-) -> np.ndarray:
-    def one(index: int) -> np.ndarray:
-        stack = distance_stack(dataset.queries[index], dataset.refs)
-        return method.score_row(stack, gamma)
-
-    indices = range(dataset.queries.shape[0])
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, indices))
-    else:
-        rows = [one(i) for i in indices]
-    return np.stack(rows)
-
-
 def evaluate_method(
     dataset: Dataset,
     method: Method | str,
     gamma: float = DEFAULT_GAMMA,
     seq_len: int = 1,
     seq_velocity: float = 1.0,
-    jobs: int = 1,
 ) -> MethodEvaluation:
     """Run one method over every query and build its precision-recall curve.
 
-    Queries are independent, so ``jobs`` only parallelizes the loop; results
-    are identical for any job count.  ``seq_len`` > 1 aggregates the score
-    matrix over trailing windows before deciding; ``seq_len`` < 1 raises
-    ValidationError.
+    Queries are scored one after another; BLAS already spreads each distance
+    computation over the cores.  ``seq_len`` > 1 aggregates the score matrix
+    over trailing windows before deciding; ``seq_len`` < 1 raises
+    ValidationError.  A row without contrast (every place scored alike, e.g.
+    the uniform prior when every selected set is degenerate) carries no
+    information, so with more than one place that query abstains.
     """
     if isinstance(method, str):
         method = resolve_method(method, [r.label for r in dataset.refs])
-    rows = _score_rows(dataset, method, gamma, jobs)
+    rows = np.stack(
+        [method.score_row(distance_stack(q, dataset.refs), gamma) for q in dataset.queries]
+    )
     matrix = ScoreMatrix(rows, method=method.name)
     if seq_len != 1:
         matrix = sequence_aggregate(matrix, seq_len, seq_velocity)
     truth = dataset.ground_truth
     records = []
-    for t in range(matrix.n_queries):
-        row = matrix.scores[t]
+    for t, row in enumerate(matrix.scores):
         place = int(np.argmax(row))
-        records.append(
-            EvalRecord(
-                query=t,
-                place=place,
-                confidence=float(row[place]),
-                correct=match_correct(place, truth.true_place[t], truth.tolerance),
-            )
-        )
+        confidence = float(row[place])
+        if row.shape[0] > 1 and confidence == row.min():
+            records.append(EvalRecord(t, None, confidence, None))
+        else:
+            correct = match_correct(place, truth.true_place[t], truth.tolerance)
+            records.append(EvalRecord(t, place, confidence, correct))
     return MethodEvaluation(
         method=method.name,
         records=records,
@@ -195,9 +178,8 @@ def bench_query(
 ) -> TimingReport:
     """Wall-clock per-query cost, split into distance / selection / fusion.
 
-    One warm-up query runs first; I/O is excluded.
-    Queries run sequentially (opt into parallelism at the evaluation layer,
-    not here, so timings stay comparable).
+    One warm-up query runs first; I/O is excluded.  Queries run
+    sequentially, as in ``evaluate_method``.
     """
     if repetitions < 1 or n_queries < 1:
         raise ValidationError("repetitions and n_queries must be >= 1")

@@ -441,16 +441,19 @@ def generate_synthetic(
         weights = weights / total
 
     rng = np.random.default_rng(seed)
-    latent = place_spread * rng.standard_normal((n_places, dim))
-    offsets = condition_scale * rng.standard_normal((n_conditions, dim))
-    refs = []
-    for u in range(n_conditions):
+    # Huge or non-finite scales overflow quietly here; ReferenceSet then
+    # rejects the non-finite descriptors with ValidationError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        latent = place_spread * rng.standard_normal((n_places, dim))
+        offsets = condition_scale * rng.standard_normal((n_conditions, dim))
+        ref_rows = [
+            (latent + offsets[u] + query_noise * rng.standard_normal((n_places, dim)))
+            .astype(np.float32)
+            for u in range(n_conditions)
+        ]
+        conditions = rng.choice(n_conditions, size=n_places, p=weights)
         noise = query_noise * rng.standard_normal((n_places, dim))
-        refs.append(
-            ReferenceSet(f"cond{u}", (latent + offsets[u] + noise).astype(np.float32))
-        )
-    conditions = rng.choice(n_conditions, size=n_places, p=weights)
-    noise = query_noise * rng.standard_normal((n_places, dim))
-    queries = (latent + offsets[conditions] + noise).astype(np.float32)
+        queries = (latent + offsets[conditions] + noise).astype(np.float32)
+    refs = [ReferenceSet(f"cond{u}", rows) for u, rows in enumerate(ref_rows)]
     ground_truth = GroundTruth(np.arange(n_places, dtype=np.int64), gt_tolerance)
     return SyntheticDataset(refs, queries, ground_truth, conditions.astype(np.int64))

@@ -60,9 +60,10 @@ def sequence_aggregate(
     acc = np.zeros_like(scores)
     count = np.zeros_like(scores)
     for k in range(length):
-        shift = int(np.rint(velocity * k))
+        shift = np.rint(velocity * k)
         if shift >= n_p:
-            continue
+            break  # shifts only grow with k; compared as a float, so inf is safe
+        shift = int(shift)
         acc[k:, shift:] += scores[: n_t - k, : n_p - shift]
         count[k:, shift:] += 1.0
     # The k = 0 term always contributes, so count >= 1 everywhere.

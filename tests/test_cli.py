@@ -181,6 +181,21 @@ class TestEval:
         assert code == 2
         assert err.startswith("error: ") and "velocity" in err
 
+    def test_overflowing_velocity_matches_sequence_length_one(self, capsys, tmp_path):
+        manifest = synth(capsys, tmp_path / "data")
+        base = ["eval", "--manifest", str(manifest), "--method", "all"]
+        single = run(capsys, *base)
+        overflow = run(capsys, *base, "--seq-len", "3", "--seq-velocity", "1e308")
+        assert single[0] == 0
+        assert overflow == single
+
+    def test_jobs_flag_is_gone(self, capsys, tmp_path):
+        manifest = synth(capsys, tmp_path / "data")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--manifest", str(manifest), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
     def test_unknown_method_exits_nonzero(self, capsys, tmp_path):
         manifest = synth(capsys, tmp_path / "data")
         code, _, err = run(

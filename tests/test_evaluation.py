@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from vprfuse import (
+    Dataset,
     EvalRecord,
+    GroundTruth,
     PRCurve,
+    ReferenceSet,
     bench_query,
     evaluate_method,
+    expand_methods,
     generate_synthetic,
     match_correct,
     pr_curve,
@@ -173,12 +177,17 @@ class TestEvaluateMethod:
         assert [r.query for r in result.records] == list(range(40))
         assert result.scores.n_queries == 40
 
-    def test_jobs_do_not_change_results(self):
-        ds = generate_synthetic(seed=3, n_places=30, n_conditions=3, dim=8)
-        serial = evaluate_method(ds, "bayes-selective", jobs=1)
-        parallel = evaluate_method(ds, "bayes-selective", jobs=4)
-        np.testing.assert_array_equal(serial.scores.scores, parallel.scores.scores)
-        assert serial.curve.auc == parallel.curve.auc
+    def test_information_free_queries_abstain(self, rng):
+        """Sets whose rows are all identical score every place alike."""
+        refs = [
+            ReferenceSet(label, np.tile(rng.standard_normal(6), (4, 1)))
+            for label in ("a", "b")
+        ]
+        ds = Dataset(refs, rng.standard_normal((4, 6)), GroundTruth(np.arange(4), 0))
+        for method in expand_methods("all", ds.labels):
+            result = evaluate_method(ds, method)
+            assert all(r.place is None and r.correct is None for r in result.records)
+            assert result.curve.auc == 0.0
 
     def test_sequence_length_one_identical(self):
         ds = generate_synthetic(seed=5, n_places=25, n_conditions=2, dim=8)

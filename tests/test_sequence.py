@@ -46,6 +46,13 @@ class TestSequenceAggregate:
             with pytest.raises(ValidationError):
                 sequence_aggregate(m, 2, velocity=velocity)
 
+    def test_velocity_overflowing_the_shift_keeps_in_range_terms(self, rng):
+        m = ScoreMatrix(rng.standard_normal((4, 5)))
+        # shift(1) rounds to 1e308 and shift(2) overflows to inf: both are
+        # out of range, so only the k = 0 term remains
+        out = sequence_aggregate(m, 3, velocity=1e308)
+        np.testing.assert_array_equal(out.scores, m.scores)
+
     def test_commutes_with_constant_shift(self, rng):
         rows = rng.standard_normal((8, 5))
         base = sequence_aggregate(ScoreMatrix(rows), 3).scores

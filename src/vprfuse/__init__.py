@@ -7,20 +7,13 @@ query, fuses them probabilistically, and evaluates against distance-based
 baselines with precision-recall metrics.
 """
 
-from .distance import (
-    DistanceStack,
-    distance_stack,
-    distance_vector,
-    euclidean_distance,
-)
+from .distance import DistanceStack, distance_stack, distance_vector
 from .errors import (
     DegenerateReferenceError,
     DescriptorCorruptionError,
     DescriptorFormatError,
-    InsufficientDataError,
     ManifestError,
     NoInformationError,
-    UninformativeReferenceError,
     ValidationError,
     VPRFuseError,
 )
@@ -67,7 +60,6 @@ from .methods import Method, expand_methods, resolve_method
 from .selection import (
     DEFAULT_GAMMA,
     SelectionResult,
-    best_reference,
     select_all,
     select_references,
     select_single,

@@ -88,10 +88,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.manifest)
     methods = expand_methods(args.method, dataset.labels)
+    pr_files = [f"pr_{_safe_name(method.name)}.csv" for method in methods]
     if args.out is not None:
+        for k, pr_file in enumerate(pr_files):
+            first = pr_files.index(pr_file)
+            if first < k:
+                raise VPRFuseError(
+                    f"methods {methods[first].name!r} and {methods[k].name!r} "
+                    f"would both write {pr_file}"
+                )
         args.out.mkdir(parents=True, exist_ok=True)
     summary = ["method,auc,n_queries"]
-    for method in methods:
+    for method, pr_file in zip(methods, pr_files):
         result = evaluate_method(
             dataset,
             method,
@@ -106,7 +114,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             print(f"# method={method.name}")
             _emit(lines, None)
         else:
-            _emit(lines, args.out / f"pr_{_safe_name(method.name)}.csv")
+            _emit(lines, args.out / pr_file)
         summary.append(f"{method.name},{_fmt(result.curve.auc)},{len(result.records)}")
     _emit(summary, None if args.out is None else args.out / "summary.csv")
     if args.out is not None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_array
 from .ingest import ReferenceSet
 
 # Squared distances below this fraction of their term magnitudes are
@@ -32,13 +32,7 @@ class DistanceStack:
     values: np.ndarray  # (n_refs, n_places)
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValidationError(
-                f"distance stack must be a non-empty 2-D array, got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("distance stack contains non-finite entries")
+        arr = checked_array(self.values, 2, "distance stack")
         if np.any(arr < 0):
             raise ValidationError("distance stack contains negative entries")
         object.__setattr__(self, "values", arr)
@@ -54,15 +48,6 @@ class DistanceStack:
     def minima(self) -> np.ndarray:
         """Per-reference-set minimum distance."""
         return self.values.min(axis=1)
-
-
-def _as_query(query: np.ndarray) -> np.ndarray:
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] == 0:
-        raise ValidationError(f"query must be a non-empty 1-D vector, got {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise ValidationError("query contains non-finite values")
-    return q
 
 
 def _distances(q: np.ndarray, ref: ReferenceSet) -> np.ndarray:
@@ -82,25 +67,17 @@ def _distances(q: np.ndarray, ref: ReferenceSet) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two descriptors (double-precision)."""
-    a, b = _as_query(a), _as_query(b)
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    d = a - b
-    return float(np.sqrt(d @ d))
-
-
 def distance_vector(query: np.ndarray, ref: ReferenceSet | np.ndarray) -> np.ndarray:
     """Distances from one query to every place descriptor of one reference set.
 
-    Entry ``i`` equals ``euclidean_distance(query, descriptors[i])`` (to within
-    double-precision summation-order differences; exact matches give exactly 0).
+    Entry ``i`` equals the Euclidean distance from ``query`` to row ``i`` (to
+    within double-precision summation-order differences; exact matches give
+    exactly 0).
     A raw array is wrapped in a ReferenceSet, so it is validated the same way.
     """
     if not isinstance(ref, ReferenceSet):
         ref = ReferenceSet("array", ref)
-    return _distances(_as_query(query), ref)
+    return _distances(checked_array(query, 1, "query"), ref)
 
 
 def distance_stack(query: np.ndarray, refs: list[ReferenceSet]) -> DistanceStack:
@@ -116,5 +93,5 @@ def distance_stack(query: np.ndarray, refs: list[ReferenceSet]) -> DistanceStack
             raise ValidationError(
                 f"reference set {ref.label!r} has {ref.n_places} places, expected {n}"
             )
-    q = _as_query(query)
+    q = checked_array(query, 1, "query")
     return DistanceStack(np.stack([_distances(q, ref) for ref in refs]))

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one array check."""
+
+import numpy as np
 
 
 class VPRFuseError(Exception):
@@ -21,17 +23,24 @@ class ManifestError(VPRFuseError):
     """Dataset manifest is malformed or inconsistent with referenced files."""
 
 
-class UninformativeReferenceError(VPRFuseError):
-    """A reference set cannot contribute a likelihood for this query."""
-
-
-class DegenerateReferenceError(UninformativeReferenceError):
-    """All distances in a vector are numerically identical (zero variance)."""
-
-
-class InsufficientDataError(UninformativeReferenceError):
-    """Too few places to fit the background distance model."""
+class DegenerateReferenceError(VPRFuseError):
+    """A distance vector has (numerically) zero variance: it shows no contrast."""
 
 
 class NoInformationError(VPRFuseError):
-    """Every selected reference set was uninformative for this query."""
+    """Every selected reference set was degenerate for this query."""
+
+
+def checked_array(values, ndim: int, what: str) -> np.ndarray:
+    """``values`` as float64, if it is a non-empty, ``ndim``-D, finite array.
+
+    Raises ValidationError otherwise; ``what`` names the array in the message.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValidationError(
+            f"{what} must be a non-empty {ndim}-D array, got shape {arr.shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} contains non-finite values")
+    return arr

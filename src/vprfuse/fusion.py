@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import DistanceStack
-from .errors import NoInformationError, UninformativeReferenceError, ValidationError
+from .errors import DegenerateReferenceError, NoInformationError, ValidationError
 from .likelihood import log_likelihood_ratio
 from .selection import SelectionResult
 
@@ -45,7 +45,7 @@ class Belief:
 
     log_scores: np.ndarray
     normalized: np.ndarray
-    dropped: tuple[int, ...] = ()  # selected sets excluded as uninformative
+    dropped: tuple[int, ...] = ()  # selected sets excluded as degenerate
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def posterior(
         try:
             log_scores = log_scores + log_likelihood_ratio(stack.values[u])
             contributed += 1
-        except UninformativeReferenceError:
+        except DegenerateReferenceError:
             dropped.append(u)
     if contributed == 0:
         raise NoInformationError(

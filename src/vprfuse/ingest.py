@@ -33,6 +33,7 @@ from .errors import (
     DescriptorFormatError,
     ManifestError,
     ValidationError,
+    checked_array,
 )
 
 _MAGIC = b"VPRD"
@@ -53,16 +54,9 @@ class ReferenceSet:
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)  # (n_places,)
 
     def __post_init__(self):
+        # checked_array returns this float64 copy as is, without a second one.
         rows = np.array(self.descriptors, dtype=np.float64, order="C")
-        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
-            raise ValidationError(
-                f"reference set {self.label!r}: descriptors must be a non-empty "
-                f"2-D array, got shape {rows.shape}"
-            )
-        if not np.all(np.isfinite(rows)):
-            raise ValidationError(
-                f"reference set {self.label!r}: non-finite descriptor component"
-            )
+        rows = checked_array(rows, 2, f"reference set {self.label!r}")
         sq_norms = np.einsum("ij,ij->i", rows, rows)
         rows.flags.writeable = sq_norms.flags.writeable = False
         object.__setattr__(self, "descriptors", rows)

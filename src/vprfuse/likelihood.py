@@ -19,21 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateReferenceError, InsufficientDataError, ValidationError
+from .errors import DegenerateReferenceError, checked_array
 
 # Variance floor below which a distance vector carries no contrast.
 SIGMA2_MIN = 1e-12
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _as_distances(d: np.ndarray) -> np.ndarray:
-    arr = np.asarray(d, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] == 0:
-        raise ValidationError(f"distance vector must be non-empty 1-D, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("distance vector contains non-finite entries")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -51,7 +42,7 @@ def place_match_counts(d: np.ndarray) -> np.ndarray:
     distances the counts are a permutation of 1..N, and the maximum count
     lands on the minimum distance.  Computed in O(N log N) via sorting.
     """
-    arr = _as_distances(d)
+    arr = checked_array(d, 1, "distance vector")
     order = np.sort(arr)
     strictly_below = np.searchsorted(order, arr, side="left")
     return (arr.shape[0] - strictly_below).astype(np.int64)
@@ -59,11 +50,7 @@ def place_match_counts(d: np.ndarray) -> np.ndarray:
 
 def gaussian_params(d: np.ndarray) -> GaussianParams:
     """Fit the background (non-match) distance model: mean and population variance."""
-    arr = _as_distances(d)
-    if arr.shape[0] < 2:
-        raise InsufficientDataError(
-            "background model needs at least 2 places, got 1"
-        )
+    arr = checked_array(d, 1, "distance vector")
     return GaussianParams(mu=float(arr.mean()), sigma2=float(arr.var()))
 
 

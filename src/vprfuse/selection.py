@@ -34,23 +34,9 @@ class SelectionResult:
     minima: np.ndarray = field(repr=False)
     zero_limit: bool = False
 
-    def __post_init__(self):
-        if not self.selected:
-            raise ValidationError("selection must keep at least one reference set")
-        if self.best not in self.selected:
-            raise ValidationError("best reference set must be selected")
-
     @property
     def n_selected(self) -> int:
         return len(self.selected)
-
-
-def best_reference(stack: DistanceStack) -> int:
-    """Index of the reference set containing the overall minimum distance.
-
-    Ties break toward the lowest set index.
-    """
-    return int(np.argmin(stack.minima()))
 
 
 def select_references(stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> SelectionResult:
@@ -79,10 +65,11 @@ def select_references(stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> Sel
 
 def select_all(stack: DistanceStack) -> SelectionResult:
     """Forced selection of every reference set (full-fusion ablation)."""
+    minima = stack.minima()
     return SelectionResult(
-        best=best_reference(stack),
+        best=int(np.argmin(minima)),
         selected=tuple(range(stack.n_refs)),
-        minima=stack.minima(),
+        minima=minima,
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_array
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,7 @@ class ScoreMatrix:
     method: str = ""
 
     def __post_init__(self):
-        arr = np.asarray(self.scores, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValidationError(
-                f"score matrix must be a non-empty 2-D array, got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("score matrix contains non-finite entries")
-        object.__setattr__(self, "scores", arr)
+        object.__setattr__(self, "scores", checked_array(self.scores, 2, "score matrix"))
 
     @property
     def n_queries(self) -> int:

@@ -95,3 +95,29 @@ def auc_dense_oracle(points, samples_per_segment: int = 20000) -> float:
         heights = p0 + (p1 - p0) * ts
         area += width * float(np.mean(heights))
     return area
+
+
+def informed_single_reference_rows(
+    queries: np.ndarray, refs: list[np.ndarray], conditions: np.ndarray, kind: str
+) -> np.ndarray:
+    """Score rows of a single-reference method told each query's condition.
+
+    Query t is scored against ``refs[conditions[t]]`` alone, the prior
+    (unfair) knowledge of the best reference set that the methods under test
+    do not get.  ``kind`` "min-value" scores with the negated explicit
+    distances; "bayes-single" with the softmax of log(rank count) minus the
+    scipy Gaussian log-density of the two-pass mean and variance.
+    """
+    rows = []
+    for q, u in zip(queries, conditions):
+        diff = np.asarray(refs[u], dtype=np.float64) - np.asarray(q, dtype=np.float64)
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        if kind == "min-value":
+            rows.append(-d)
+            continue
+        counts = (d[None, :] >= d[:, None]).sum(axis=1)
+        mu, var = two_pass_mean_var(d)
+        log_ratio = np.log(counts) - stats.norm.logpdf(d, loc=mu, scale=math.sqrt(var))
+        z = np.exp(log_ratio - log_ratio.max())
+        rows.append(z / z.sum())
+    return np.array(rows)

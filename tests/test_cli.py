@@ -100,6 +100,22 @@ class TestEval:
         summary = (out / "summary.csv").read_text().splitlines()
         assert all(line.endswith(",40") for line in summary[1:])
 
+    def test_methods_sharing_a_file_name_exit_2(self, capsys, tmp_path):
+        # "a/b" and "a_b" both sanitize to "a_b"; one PR file would overwrite
+        # the other, so nothing is written at all.
+        manifest = synth(capsys, tmp_path / "data")
+        text = manifest.read_text().replace("ref = cond0,", "ref = a/b,")
+        manifest.write_text(text.replace("ref = cond1,", "ref = a_b,"))
+        out = tmp_path / "results"
+        code, _, err = run(
+            capsys, "eval", "--manifest", str(manifest), "--method", "all",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "'bayes-single:a/b'" in err and "'bayes-single:a_b'" in err
+        assert not out.exists()
+
     def test_deterministic_output_bytes(self, capsys, tmp_path):
         manifest = synth(capsys, tmp_path / "data")
         outs = []

@@ -6,13 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from vprfuse import (
-    DistanceStack,
-    ReferenceSet,
-    distance_stack,
-    distance_vector,
-    euclidean_distance,
-)
+from vprfuse import DistanceStack, ReferenceSet, distance_stack, distance_vector
 from vprfuse.errors import ValidationError
 
 
@@ -22,24 +16,26 @@ def naive_distance(a, b):
 
 
 class TestEuclideanDistance:
+    """One distance at a time, as a one-row reference set."""
+
     def test_identity_is_zero(self):
-        assert euclidean_distance([0.3, -0.7], [0.3, -0.7]) == 0.0
+        assert distance_vector([0.3, -0.7], [[0.3, -0.7]])[0] == 0.0
 
     def test_3_4_5_triangle(self):
-        assert euclidean_distance([3.0, 4.0], [0.0, 0.0]) == 5.0
+        assert distance_vector([3.0, 4.0], [[0.0, 0.0]])[0] == 5.0
 
     def test_symmetry(self, rng):
         a, b = rng.standard_normal(10), rng.standard_normal(10)
-        assert euclidean_distance(a, b) == euclidean_distance(b, a)
+        assert distance_vector(a, [b])[0] == distance_vector(b, [a])[0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            euclidean_distance([1.0, 2.0], [1.0, 2.0, 3.0])
+            distance_vector([1.0, 2.0], [[1.0, 2.0, 3.0]])
 
     def test_matches_naive_loop_4096d(self, rng):
         a = rng.standard_normal(4096).astype(np.float32)
         b = rng.standard_normal(4096).astype(np.float32)
-        got = euclidean_distance(a, b)
+        got = distance_vector(a, [b])[0]
         want = naive_distance(a, b)
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -49,7 +45,7 @@ class TestEuclideanDistance:
         a = np.full(100_000, 1.0001, dtype=np.float32)
         b = np.zeros(100_000, dtype=np.float32)
         want = naive_distance(a, b)
-        assert euclidean_distance(a, b) == pytest.approx(want, rel=1e-9)
+        assert distance_vector(a, [b])[0] == pytest.approx(want, rel=1e-9)
 
 
 class TestDistanceVector:
@@ -70,7 +66,7 @@ class TestDistanceVector:
         ref = ReferenceSet("r", descs)
         q = rng.standard_normal(12).astype(np.float32)
         got = distance_vector(q, ref)
-        want = np.array([euclidean_distance(q, row) for row in descs])
+        want = np.array([naive_distance(q, row) for row in descs])
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
     def test_dimension_mismatch(self, rng):
@@ -164,12 +160,11 @@ class TestLinearScaling:
         }
         for ref in refs.values():  # warm up BLAS and CPU caches before timing
             distance_vector(q, ref)
-        per_place = {}
-        for n, ref in refs.items():
-            best = min(
-                _timed(lambda: distance_vector(q, ref)) for _ in range(15)
-            )
-            per_place[n] = best / n
+        times = {n: [] for n in sizes}
+        for _ in range(15):  # sizes interleaved, so drift in host speed hits all
+            for n, ref in refs.items():
+                times[n].append(_timed(lambda: distance_vector(q, ref)))
+        per_place = {n: min(times[n]) / n for n in sizes}
         ratio = max(per_place.values()) / min(per_place.values())
         assert ratio < 2.0, f"per-place cost ratio {ratio:.2f}, per_place={per_place}"
 

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from vprfuse import (
-    DistanceStack,
-    best_reference,
-    select_all,
-    select_references,
-    select_single,
-)
+from vprfuse import DistanceStack, select_all, select_references, select_single
 from vprfuse.errors import ValidationError
 
 
@@ -31,13 +25,13 @@ def random_stack(rng, n_refs=None, n_places=None):
 
 class TestBestReference:
     def test_picks_set_with_overall_minimum(self):
-        assert best_reference(stack_with_minima([0.9, 0.4, 0.7])) == 1
+        assert select_all(stack_with_minima([0.9, 0.4, 0.7])).best == 1
 
     def test_single_set(self):
-        assert best_reference(stack_with_minima([0.3])) == 0
+        assert select_all(stack_with_minima([0.3])).best == 0
 
     def test_tie_breaks_to_lowest_index(self):
-        assert best_reference(stack_with_minima([0.5, 0.5])) == 0
+        assert select_all(stack_with_minima([0.5, 0.5])).best == 0
 
 
 class TestSelectReferences:
@@ -121,7 +115,7 @@ class TestForcedSelections:
         stack = random_stack(rng, n_refs=4)
         sel = select_all(stack)
         assert sel.selected == (0, 1, 2, 3)
-        assert sel.best == best_reference(stack)
+        assert sel.best == int(np.argmin(stack.minima()))
 
     def test_select_single(self, rng):
         stack = random_stack(rng, n_refs=3)

@@ -41,6 +41,6 @@ def checked_array(values, ndim: int, what: str) -> np.ndarray:
         raise ValidationError(
             f"{what} must be a non-empty {ndim}-D array, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains non-finite values")
     return arr

@@ -32,10 +32,11 @@ def _validated_prior(prior: np.ndarray, n_places: int) -> np.ndarray:
     arr = np.asarray(prior, dtype=np.float64)
     if arr.shape != (n_places,):
         raise ValidationError(f"prior must have shape ({n_places},), got {arr.shape}")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+    if (arr < 0).any() or not np.isfinite(arr).all():
         raise ValidationError("prior entries must be finite and non-negative")
-    if abs(arr.sum() - 1.0) > _PRIOR_SUM_TOL:
-        raise ValidationError(f"prior must sum to 1, got {arr.sum()!r}")
+    total = arr.sum()
+    if abs(total - 1.0) > _PRIOR_SUM_TOL:
+        raise ValidationError(f"prior must sum to 1, got {total!r}")
     return arr
 
 
@@ -65,7 +66,7 @@ class PlaceDecision:
 
 
 def _normalize_log_scores(log_scores: np.ndarray) -> np.ndarray:
-    shifted = np.exp(log_scores - np.max(log_scores))
+    shifted = np.exp(log_scores - log_scores.max())
     return shifted / shifted.sum()
 
 

@@ -108,10 +108,13 @@ def _resolve_ref(token: str, labels: Sequence[str]) -> int:
 
 
 def _single_name(prefix: str, index: int, labels: Sequence[str]) -> str:
+    """Name set ``index`` by its label only if that label resolves back to it."""
     label = labels[index]
-    if label and list(labels).count(label) == 1:
-        return f"{prefix}:{label}"
-    return f"{prefix}:{index}"
+    try:
+        named = bool(label) and _resolve_ref(label, labels) == index
+    except ValidationError:  # a shared label, or a number out of range, names no set
+        named = False
+    return f"{prefix}:{label if named else index}"
 
 
 def resolve_method(name: str, labels: Sequence[str]) -> Method:

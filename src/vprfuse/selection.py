@@ -46,20 +46,13 @@ def select_references(stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> Sel
     minima = stack.minima()
     best = int(np.argmin(minima))
     floor = minima[best]
-    if floor == 0.0:
-        selected = np.flatnonzero(minima == 0.0)
-        return SelectionResult(
-            best=best,
-            selected=tuple(int(u) for u in selected),
-            minima=minima,
-            zero_limit=True,
-        )
-    excess = (minima - floor) / floor
-    selected = np.flatnonzero(excess <= gamma)
+    zero_limit = bool(floor == 0.0)
+    keep = minima == 0.0 if zero_limit else (minima - floor) / floor <= gamma
     return SelectionResult(
         best=best,
-        selected=tuple(int(u) for u in selected),
+        selected=tuple(np.flatnonzero(keep).tolist()),
         minima=minima,
+        zero_limit=zero_limit,
     )
 
 

@@ -132,6 +132,30 @@ class TestDistanceStack:
         for u, ref in enumerate(refs):
             np.testing.assert_array_equal(stack.values[u], distance_vector(q, ref))
 
+    def test_rows_do_not_depend_on_batching(self, rng):
+        # 37 places is not a multiple of a BLAS row block; two sets hold an
+        # exact match of the query at different rows.  The offset makes the
+        # expanded form cancel, so the exact matches need the re-check.
+        descs = [100.0 + rng.standard_normal((37, 9)) for _ in range(3)]
+        q = 100.0 + rng.standard_normal(9)
+        descs[1][5] = q
+        descs[2][30] = q
+        refs = [ReferenceSet(f"r{u}", d) for u, d in enumerate(descs)]
+        stack = distance_stack(q, refs)
+        for u, ref in enumerate(refs):
+            np.testing.assert_array_equal(
+                stack.values[u], distance_stack(q, [ref]).values[0]
+            )
+        assert stack.values[1, 5] == stack.values[2, 30] == 0.0
+
+    def test_dimension_mismatch_in_a_later_set_rejected(self, rng):
+        refs = [
+            ReferenceSet("a", rng.standard_normal((4, 3))),
+            ReferenceSet("b", rng.standard_normal((4, 5))),
+        ]
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            distance_stack(np.zeros(3), refs)
+
     def test_inconsistent_sets_rejected(self, rng):
         refs = [
             ReferenceSet("a", rng.standard_normal((4, 3)).astype(np.float32)),

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from vprfuse import (
     SIGMA2_MIN,
+    GaussianParams,
     gaussian_params,
     log_likelihood_ratio,
     place_match_counts,
@@ -94,6 +98,22 @@ class TestGaussianParams:
         mu, var = two_pass_mean_var(d)
         assert p.mu == pytest.approx(mu, rel=1e-12)
         assert p.sigma2 == pytest.approx(var, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(1, 600),
+            # A small pool of values makes ties common.
+            elements=st.one_of(
+                st.sampled_from([0.0, 0.5, 1.0, 3.25]),
+                st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+            ),
+        )
+    )
+    def test_bit_identical_to_numpy(self, d):
+        # The eval CSVs are byte-identical across versions only if this holds.
+        assert gaussian_params(d) == GaussianParams(float(d.mean()), float(d.var()))
 
 
 class TestLogLikelihoodRatio:

@@ -53,6 +53,15 @@ class TestRegistry:
         with pytest.raises(ValidationError):
             resolve_method("bayes-single:x", ["x", "x"])
 
+    @pytest.mark.parametrize(
+        "labels", [["1", "x", "x"], ["2", "1", "0"], ["cond0", "cond1", "cond2"]]
+    )
+    def test_expanded_names_are_unique_and_resolve_back(self, labels):
+        methods = expand_methods("all", labels)
+        assert len({m.name for m in methods}) == len(methods)
+        for m in methods:
+            assert resolve_method(m.name, labels) == m
+
     def test_expand_all(self):
         methods = expand_methods("all", LABELS)
         names = [m.name for m in methods]

@@ -135,7 +135,7 @@ class TestDistanceStack:
     def test_rows_do_not_depend_on_batching(self, rng):
         # 37 places is not a multiple of a BLAS row block; two sets hold an
         # exact match of the query at different rows.  The offset makes the
-        # expanded form cancel, so the exact matches need the re-check.
+        # expanded form cancel, so the exact matches go through the re-check.
         descs = [100.0 + rng.standard_normal((37, 9)) for _ in range(3)]
         q = 100.0 + rng.standard_normal(9)
         descs[1][5] = q

@@ -124,11 +124,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.manifest)
     if not 0.0 < args.threshold < 1.0:
         raise VPRFuseError(
             f"--threshold must lie in (0, 1), got {args.threshold}"
         )
+    dataset = load_dataset(args.manifest)
     query = read_descriptor_file(args.query_file)
     if query.shape[0] != 1:
         raise VPRFuseError(

@@ -26,7 +26,7 @@ from .errors import ValidationError
 from .ingest import Dataset
 from .methods import Method, resolve_method
 from .selection import DEFAULT_GAMMA
-from .sequence import ScoreMatrix, sequence_aggregate
+from .sequence import ScoreMatrix, _check_window, sequence_aggregate
 
 
 @dataclass(frozen=True)
@@ -123,13 +123,16 @@ def evaluate_method(
 
     Queries are scored one after another; BLAS already spreads each distance
     computation over the cores.  ``seq_len`` > 1 aggregates the score matrix
-    over trailing windows before deciding; ``seq_len`` < 1 raises
-    ValidationError.  A row without contrast (every place scored alike, e.g.
+    over trailing windows before deciding; a window that
+    ``sequence_aggregate`` would reject raises ValidationError before any
+    query is scored.  A row without contrast (every place scored alike, e.g.
     the uniform prior when every selected set is degenerate) carries no
     information, so with more than one place that query abstains.
     """
     if isinstance(method, str):
         method = resolve_method(method, [r.label for r in dataset.refs])
+    if seq_len != 1:
+        _check_window(seq_len, dataset.queries.shape[0], seq_velocity)
     rows = np.stack(
         [method.score_row(distance_stack(q, dataset.refs), gamma) for q in dataset.queries]
     )

@@ -188,7 +188,8 @@ def write_descriptor_file(path: str | Path, descriptors: np.ndarray) -> None:
 def read_descriptor_file(path: str | Path) -> np.ndarray:
     """Read a descriptor file written by write_descriptor_file.
 
-    Returns the (n, dim) float32 array in stored order.
+    Returns the (n, dim) float32 array in stored order.  The payload is read
+    once, straight into that array.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -211,11 +212,18 @@ def read_descriptor_file(path: str | Path) -> np.ndarray:
             )
         if stored > expected:
             raise DescriptorCorruptionError(f"{path}: trailing bytes after payload")
-        payload = fh.read(expected)
-    arr = np.frombuffer(payload, dtype="<f4").reshape(n, dim)
+        arr = np.empty((n, dim), dtype="<f4")
+        got = fh.readinto(arr)
+    # The file can shrink between fstat and the read; never return the
+    # uninitialized tail.
+    if got < expected:
+        raise DescriptorCorruptionError(
+            f"{path}: payload truncated while reading ({got} of {expected} bytes)"
+        )
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{path}: non-finite descriptor value")
-    return arr.astype(np.float32, copy=True)
+    # A no-op on little-endian hosts; a byte-swapping copy elsewhere.
+    return arr.astype(np.float32, copy=False)
 
 
 def write_ground_truth(path: str | Path, ground_truth: GroundTruth) -> None:

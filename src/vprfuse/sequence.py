@@ -32,6 +32,16 @@ class ScoreMatrix:
         return self.scores.shape[0]
 
 
+def _check_window(length: int, n_queries: int, velocity: float) -> None:
+    """Raise ValidationError unless the window fits ``n_queries`` queries."""
+    if length < 1:
+        raise ValidationError(f"sequence length must be >= 1, got {length}")
+    if length > n_queries:
+        raise ValidationError(f"sequence length {length} exceeds query count {n_queries}")
+    if not (0 < velocity < np.inf):
+        raise ValidationError(f"velocity must be positive and finite, got {velocity}")
+
+
 def sequence_aggregate(
     matrix: ScoreMatrix, length: int, velocity: float = 1.0
 ) -> ScoreMatrix:
@@ -40,14 +50,7 @@ def sequence_aggregate(
     ``length`` 1 returns the scores unchanged.  Place shifts are rounded to
     the nearest index (numpy rounding, ties to even).
     """
-    if length < 1:
-        raise ValidationError(f"sequence length must be >= 1, got {length}")
-    if length > matrix.n_queries:
-        raise ValidationError(
-            f"sequence length {length} exceeds query count {matrix.n_queries}"
-        )
-    if not (0 < velocity < np.inf):
-        raise ValidationError(f"velocity must be positive and finite, got {velocity}")
+    _check_window(length, matrix.n_queries, velocity)
     scores = matrix.scores
     n_t, n_p = scores.shape
     acc = np.zeros_like(scores)

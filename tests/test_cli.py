@@ -284,6 +284,14 @@ class TestMatch:
         )
         assert code != 0 and "threshold" in err
 
+    def test_threshold_checked_before_loading(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "match", "--manifest", str(tmp_path / "missing.txt"),
+            "--query", str(tmp_path / "q.vprd"), "--threshold", "1.5",
+        )
+        assert code == 2
+        assert "--threshold" in err and "missing.txt" not in err
+
     def test_multi_row_query_file_rejected(self, capsys, tmp_path):
         manifest = synth(capsys, tmp_path / "data")
         ds = load_dataset(manifest)

@@ -196,6 +196,33 @@ class TestEvaluateMethod:
         np.testing.assert_array_equal(single.scores.scores, explicit.scores.scores)
         assert single.curve.auc == explicit.curve.auc
 
+    @pytest.mark.parametrize(
+        "seq_len, velocity, message",
+        [
+            (0, 1.0, "sequence length"),
+            (-3, 1.0, "sequence length"),
+            (26, 1.0, "exceeds query count"),
+            (2, 0.0, "velocity"),
+            (2, float("inf"), "velocity"),
+            (2, float("nan"), "velocity"),
+        ],
+    )
+    def test_bad_window_rejected_before_scoring(self, monkeypatch, seq_len, velocity, message):
+        ds = generate_synthetic(seed=5, n_places=25, n_conditions=2, dim=8)
+
+        def no_stack(*args):
+            raise AssertionError("distance_stack called before the window check")
+
+        monkeypatch.setattr("vprfuse.evaluation.distance_stack", no_stack)
+        with pytest.raises(ValidationError, match=message):
+            evaluate_method(ds, "bayes-selective", seq_len=seq_len, seq_velocity=velocity)
+
+    def test_sequence_length_one_ignores_velocity(self):
+        ds = generate_synthetic(seed=5, n_places=25, n_conditions=2, dim=8)
+        single = evaluate_method(ds, "bayes-selective", seq_len=1, seq_velocity=-1.0)
+        explicit = evaluate_method(ds, "bayes-selective")
+        np.testing.assert_array_equal(single.scores.scores, explicit.scores.scores)
+
     def test_tolerance_applied(self):
         ds = generate_synthetic(
             seed=5, n_places=25, n_conditions=1, dim=8, gt_tolerance=25

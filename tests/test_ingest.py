@@ -3,6 +3,7 @@
 import dataclasses
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from vprfuse import (
     write_ground_truth,
     write_manifest,
 )
+from vprfuse import ingest
 from vprfuse.errors import (
     DescriptorCorruptionError,
     DescriptorFormatError,
@@ -99,6 +101,40 @@ class TestDescriptorFile:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_payload_shorter_at_read_than_at_fstat(self, tmp_path, monkeypatch):
+        # A file truncated between the size check and the read: the header
+        # declares 5x4, 16 floats are left, and fstat still saw all 20.
+        path = tmp_path / "d.vprd"
+        payload = np.ones(16, dtype="<f4").tobytes()
+        path.write_bytes(struct.pack("<4sIII", b"VPRD", 1, 5, 4) + payload)
+        real_fstat = ingest.os.fstat
+
+        def stale_fstat(fd):
+            return types.SimpleNamespace(st_size=real_fstat(fd).st_size + 16)
+
+        monkeypatch.setattr(ingest.os, "fstat", stale_fstat)
+        with pytest.raises(DescriptorCorruptionError, match="truncated"):
+            read_descriptor_file(path)
+
+    def test_read_peaks_below_one_and_a_half_payloads(self, tmp_path, rng):
+        rows = rng.standard_normal((2000, 512)).astype(np.float32)
+        path = tmp_path / "d.vprd"
+        write_descriptor_file(path, rows)
+        tracemalloc.start()
+        try:
+            read_descriptor_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rows.nbytes
+
+    def test_returns_an_owned_native_float32_array(self, tmp_path):
+        path = tmp_path / "d.vprd"
+        write_descriptor_file(path, np.arange(12.0).reshape(3, 4))
+        back = read_descriptor_file(path)
+        assert back.dtype == np.float32 and back.dtype.isnative
+        assert back.flags.writeable and back.flags.owndata and back.flags.c_contiguous
 
     def test_nonfinite_payload_rejected(self, tmp_path):
         path = tmp_path / "d.vprd"

@@ -191,7 +191,8 @@ class TestEvaluateMethod:
 
     def test_sequence_length_one_identical(self):
         ds = generate_synthetic(seed=5, n_places=25, n_conditions=2, dim=8)
-        single = evaluate_method(ds, "bayes-selective", seq_len=1)
+        # Length 1 ignores the velocity, even one no window would accept.
+        single = evaluate_method(ds, "bayes-selective", seq_len=1, seq_velocity=-1.0)
         explicit = evaluate_method(ds, "bayes-selective")
         np.testing.assert_array_equal(single.scores.scores, explicit.scores.scores)
         assert single.curve.auc == explicit.curve.auc
@@ -216,12 +217,6 @@ class TestEvaluateMethod:
         monkeypatch.setattr("vprfuse.evaluation.distance_stack", no_stack)
         with pytest.raises(ValidationError, match=message):
             evaluate_method(ds, "bayes-selective", seq_len=seq_len, seq_velocity=velocity)
-
-    def test_sequence_length_one_ignores_velocity(self):
-        ds = generate_synthetic(seed=5, n_places=25, n_conditions=2, dim=8)
-        single = evaluate_method(ds, "bayes-selective", seq_len=1, seq_velocity=-1.0)
-        explicit = evaluate_method(ds, "bayes-selective")
-        np.testing.assert_array_equal(single.scores.scores, explicit.scores.scores)
 
     def test_tolerance_applied(self):
         ds = generate_synthetic(

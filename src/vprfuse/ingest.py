@@ -24,7 +24,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,12 +33,35 @@ from .errors import (
     DescriptorFormatError,
     ManifestError,
     ValidationError,
-    checked_array,
 )
 
 _MAGIC = b"VPRD"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIII")
+# float32 bytes widened per block: the float64 block (twice this) stays in
+# cache for its norms, and no buffer comes near the size of a payload.
+_BLOCK_BYTES = 1 << 17
+
+
+def _float64_rows(shape: tuple[int, int], block, nonfinite: str):
+    """Read-only float64 rows of ``shape`` and their squared norms.
+
+    ``block(start, stop)`` gives the source rows ``start:stop``; each block is
+    widened, checked and reduced while it is in cache.  Raises
+    ValidationError(``nonfinite``) if any value is not finite.
+    """
+    rows, sq_norms = np.empty(shape), np.empty(shape[0])
+    step = max(1, _BLOCK_BYTES // (4 * shape[1]))
+    for start in range(0, shape[0], step):
+        out = rows[start : start + step]
+        out[...] = block(start, start + len(out))
+        norms = np.einsum("ij,ij->i", out, out, out=sq_norms[start : start + step])
+        # A non-finite value makes its row's norm non-finite, so only such a
+        # norm needs the rows checked: finite float64 input can overflow it.
+        if not np.isfinite(norms).all() and not np.isfinite(out).all():
+            raise ValidationError(nonfinite)
+    rows.flags.writeable = sq_norms.flags.writeable = False
+    return rows, sq_norms
 
 
 @dataclass(frozen=True)
@@ -46,7 +69,8 @@ class ReferenceSet:
     """One descriptor per place, captured under a single appearance condition.
 
     ``descriptors`` is the set's own read-only, C-contiguous float64 copy of
-    the input and ``sq_norms`` its squared row norms, both fixed at creation.
+    the input and ``sq_norms`` its squared row norms, both fixed at creation
+    and computed block by block, as when a set is loaded from its file.
     """
 
     label: str
@@ -54,11 +78,14 @@ class ReferenceSet:
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)  # (n_places,)
 
     def __post_init__(self):
-        # checked_array returns this float64 copy as is, without a second one.
-        rows = np.array(self.descriptors, dtype=np.float64, order="C")
-        rows = checked_array(rows, 2, f"reference set {self.label!r}")
-        sq_norms = np.einsum("ij,ij->i", rows, rows)
-        rows.flags.writeable = sq_norms.flags.writeable = False
+        src, what = np.asarray(self.descriptors), f"reference set {self.label!r}"
+        if src.ndim != 2 or src.size == 0:
+            raise ValidationError(
+                f"{what} must be a non-empty 2-D array, got shape {src.shape}"
+            )
+        rows, sq_norms = _float64_rows(
+            src.shape, lambda i, j: src[i:j], f"{what} contains non-finite values"
+        )
         object.__setattr__(self, "descriptors", rows)
         object.__setattr__(self, "sq_norms", sq_norms)
 
@@ -185,6 +212,46 @@ def write_descriptor_file(path: str | Path, descriptors: np.ndarray) -> None:
         fh.write(payload)
 
 
+def _open_payload(fh, path) -> tuple[tuple[int, int], Callable]:
+    """Check the header and size of open descriptor file ``fh``.
+
+    Returns its (rows, dim) and ``fill(buf)``, which reads the next
+    ``buf.nbytes`` payload bytes into ``buf`` and returns it.
+    """
+    header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise DescriptorFormatError(f"{path}: file shorter than header")
+    magic, version, n, dim = _HEADER.unpack(header)
+    if magic != _MAGIC:
+        raise DescriptorFormatError(f"{path}: bad magic {magic!r}")
+    if version != _VERSION:
+        raise DescriptorFormatError(f"{path}: unsupported version {version}")
+    if n == 0 or dim == 0:
+        raise DescriptorFormatError(f"{path}: zero rows or zero dimension")
+    expected = n * dim * 4
+    # Compare the declared payload with the file size before reading, so
+    # a corrupt header cannot demand a buffer larger than the file.
+    stored = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if stored < expected:
+        raise DescriptorCorruptionError(
+            f"{path}: payload truncated ({stored} of {expected} bytes)"
+        )
+    if stored > expected:
+        raise DescriptorCorruptionError(f"{path}: trailing bytes after payload")
+
+    def fill(buf: np.ndarray) -> np.ndarray:
+        # The file can shrink between fstat and the read; never use the
+        # uninitialized tail.
+        if fh.readinto(buf) < buf.nbytes:
+            got = fh.tell() - _HEADER.size
+            raise DescriptorCorruptionError(
+                f"{path}: payload truncated while reading ({got} of {expected} bytes)"
+            )
+        return buf
+
+    return (n, dim), fill
+
+
 def read_descriptor_file(path: str | Path) -> np.ndarray:
     """Read a descriptor file written by write_descriptor_file.
 
@@ -192,38 +259,32 @@ def read_descriptor_file(path: str | Path) -> np.ndarray:
     once, straight into that array.
     """
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise DescriptorFormatError(f"{path}: file shorter than header")
-        magic, version, n, dim = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise DescriptorFormatError(f"{path}: bad magic {magic!r}")
-        if version != _VERSION:
-            raise DescriptorFormatError(f"{path}: unsupported version {version}")
-        if n == 0 or dim == 0:
-            raise DescriptorFormatError(f"{path}: zero rows or zero dimension")
-        expected = n * dim * 4
-        # Compare the declared payload with the file size before reading, so
-        # a corrupt header cannot demand a buffer larger than the file.
-        stored = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if stored < expected:
-            raise DescriptorCorruptionError(
-                f"{path}: payload truncated ({stored} of {expected} bytes)"
-            )
-        if stored > expected:
-            raise DescriptorCorruptionError(f"{path}: trailing bytes after payload")
-        arr = np.empty((n, dim), dtype="<f4")
-        got = fh.readinto(arr)
-    # The file can shrink between fstat and the read; never return the
-    # uninitialized tail.
-    if got < expected:
-        raise DescriptorCorruptionError(
-            f"{path}: payload truncated while reading ({got} of {expected} bytes)"
-        )
-    if not np.all(np.isfinite(arr)):
+        shape, fill = _open_payload(fh, path)
+        arr = fill(np.empty(shape, dtype="<f4"))
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{path}: non-finite descriptor value")
     # A no-op on little-endian hosts; a byte-swapping copy elsewhere.
     return arr.astype(np.float32, copy=False)
+
+
+def _read_reference_set(path: Path, label: str, shape: tuple[int, int]) -> ReferenceSet:
+    """Stream the reference file at ``path``, which must hold ``shape`` rows.
+
+    The payload is read one block-sized float32 buffer at a time, so no
+    float32 copy of the whole payload is ever held.
+    """
+    with open(path, "rb") as fh:
+        declared, fill = _open_payload(fh, path)
+        if declared != shape:
+            raise ManifestError(f"{path}: declares shape {declared}, manifest says {shape}")
+        rows, sq_norms = _float64_rows(
+            shape,
+            lambda i, j: fill(np.empty((j - i, shape[1]), dtype="<f4")),
+            f"{path}: non-finite descriptor value",
+        )
+    ref = object.__new__(ReferenceSet)  # rows and norms are built: skip __init__
+    ref.__dict__.update(label=label, descriptors=rows, sq_norms=sq_norms)
+    return ref
 
 
 def write_ground_truth(path: str | Path, ground_truth: GroundTruth) -> None:
@@ -364,13 +425,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     for label, ref_path in manifest.refs:
         if not Path(ref_path).is_file():
             raise ManifestError(f"referenced file missing: {ref_path}")
-        arr = read_descriptor_file(ref_path)
-        if arr.shape != (manifest.places, manifest.dim):
-            raise ManifestError(
-                f"{ref_path}: declares shape {arr.shape}, manifest says "
-                f"{(manifest.places, manifest.dim)}"
-            )
-        refs.append(ReferenceSet(label, arr))
+        refs.append(_read_reference_set(ref_path, label, (manifest.places, manifest.dim)))
     if not Path(manifest.query_path).is_file():
         raise ManifestError(f"referenced file missing: {manifest.query_path}")
     queries = read_descriptor_file(manifest.query_path)

@@ -252,6 +252,21 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_dataset(mp)
 
+    def test_shape_mismatch_found_from_the_header(self, tmp_path, rng):
+        path = tmp_path / "ref.vprd"
+        write_descriptor_file(path, rng.standard_normal((2000, 512)).astype(np.float32))
+        write_descriptor_file(tmp_path / "q.vprd", np.ones((1, 512), dtype=np.float32))
+        mp = tmp_path / "manifest.txt"
+        write_manifest(mp, DatasetManifest(2001, 512, tmp_path / "q.vprd", 0, [("a", path)]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ManifestError, match=r"\(2000, 512\), manifest says \(2001, 512\)"):
+                load_dataset(mp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_missing_file_rejected(self, tmp_path):
         mp = self._write_dataset(tmp_path)
         (tmp_path / "winter.vprd").unlink()
@@ -263,6 +278,70 @@ class TestManifest:
         ds = load_dataset(mp)
         np.testing.assert_array_equal(ds.ground_truth.true_place, np.arange(6))
         assert ds.ground_truth.tolerance == 2
+
+
+def _one_set_manifest(tmp_path, rows):
+    """A manifest over one reference file holding ``rows`` and a 1-row query."""
+    path = tmp_path / "ref.vprd"
+    write_descriptor_file(path, rows)
+    write_descriptor_file(tmp_path / "q.vprd", np.ones((1, rows.shape[1]), dtype=np.float32))
+    mp = tmp_path / "manifest.txt"
+    write_manifest(mp, DatasetManifest(*rows.shape, tmp_path / "q.vprd", 0, [("a", path)]))
+    return mp, path
+
+
+class TestStreamedLoad:
+    """load_dataset widens each reference file block by block."""
+
+    @pytest.mark.parametrize("dim", [4096, 64])
+    @pytest.mark.parametrize("blocks", [(0, 1), (1, -1), (1, 0), (2, 3)])
+    def test_rows_and_norms_bit_identical(self, tmp_path, rng, dim, blocks):
+        block = ingest._BLOCK_BYTES // (4 * dim)
+        n = blocks[0] * block + blocks[1]
+        x = rng.standard_normal((n, dim)).astype(np.float32)
+        mp, path = _one_set_manifest(tmp_path, x)
+        loaded = load_dataset(mp).refs[0]
+        from_array = ReferenceSet("a", read_descriptor_file(path))
+        wide = np.array(x, np.float64)
+        for ref in (loaded, from_array):
+            assert np.array_equal(ref.descriptors, wide)
+            assert np.array_equal(ref.sq_norms, np.einsum("ij,ij->i", wide, wide))
+            assert not ref.descriptors.flags.writeable and not ref.sq_norms.flags.writeable
+            assert ref.descriptors.flags.c_contiguous
+
+    def test_shrinks_after_fstat_in_a_later_block(self, tmp_path, rng, monkeypatch):
+        dim = 64
+        n = 2 * (ingest._BLOCK_BYTES // (4 * dim)) + 3
+        mp, path = _one_set_manifest(tmp_path, rng.standard_normal((n, dim)).astype(np.float32))
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[: full - 4 * dim * 2])  # the last block falls short
+        real_fstat = ingest.os.fstat
+
+        def stale_fstat(fd):
+            return types.SimpleNamespace(st_size=max(real_fstat(fd).st_size, full))
+
+        monkeypatch.setattr(ingest.os, "fstat", stale_fstat)
+        with pytest.raises(DescriptorCorruptionError, match="truncated") as streamed:
+            load_dataset(mp)
+        with pytest.raises(DescriptorCorruptionError) as whole:
+            read_descriptor_file(path)
+        assert str(path) in str(streamed.value)
+        assert str(streamed.value) == str(whole.value)
+
+    def test_nan_in_the_last_block(self, tmp_path, rng):
+        dim = 64
+        n = 2 * (ingest._BLOCK_BYTES // (4 * dim)) + 3
+        x = rng.standard_normal((n, dim)).astype(np.float32)
+        x[-1, -1] = np.nan
+        mp, path = _one_set_manifest(tmp_path, np.zeros_like(x))
+        payload = path.read_bytes()[:16] + x.astype("<f4").tobytes()
+        path.write_bytes(payload)  # write_descriptor_file refuses a NaN
+        with pytest.raises(ValidationError) as streamed:
+            load_dataset(mp)
+        with pytest.raises(ValidationError) as whole:
+            read_descriptor_file(path)
+        assert str(path) in str(streamed.value)
+        assert str(streamed.value) == str(whole.value)
 
 
 class TestGroundTruthFile:
@@ -385,6 +464,10 @@ class TestReferenceSetValidation:
         with pytest.raises(ValidationError):
             ReferenceSet("x", np.arange(4.0))
 
+    def test_finite_rows_with_overflowing_norms_accepted(self):
+        ref = ReferenceSet("x", np.array([[1e200, 0.0], [1.0, 2.0]]))
+        assert np.isinf(ref.sq_norms[0]) and ref.sq_norms[1] == 5.0
+
     def test_frozen_after_validation(self):
         ref = ReferenceSet("x", np.ones((3, 2), dtype=np.float32))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -432,6 +515,28 @@ class TestReferenceSetValidation:
         assert stack.n_refs == n_refs
         float64_rows = n_refs * n_places * dim * 8
         assert retained < 1.2 * float64_rows, retained / float64_rows
+
+    def test_load_peaks_near_the_float64_rows(self, tmp_path, rng):
+        # 3 x 2000 x 64: no float32 copy of a whole payload is ever held.
+        n_refs, n_places, dim = 3, 2000, 64
+        refs = []
+        for u in range(n_refs):
+            path = tmp_path / f"ref{u}.vprd"
+            write_descriptor_file(path, rng.standard_normal((n_places, dim)))
+            refs.append((f"c{u}", path))
+        write_descriptor_file(tmp_path / "q.vprd", rng.standard_normal((8, dim)))
+        manifest = tmp_path / "manifest.txt"
+        write_manifest(
+            manifest, DatasetManifest(n_places, dim, tmp_path / "q.vprd", 0, refs)
+        )
+        tracemalloc.start()
+        try:
+            load_dataset(manifest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        float64_rows = n_refs * n_places * dim * 8
+        assert peak < 1.1 * float64_rows, peak / float64_rows
 
     def test_dataset_rejects_mixed_shapes(self):
         a = ReferenceSet("a", np.ones((3, 2), dtype=np.float32))

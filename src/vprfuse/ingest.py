@@ -38,8 +38,8 @@ from .errors import (
 _MAGIC = b"VPRD"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIII")
-# float32 bytes widened per block: the float64 block (twice this) stays in
-# cache for its norms, and no buffer comes near the size of a payload.
+# float32 bytes widened per block. The float64 block (twice this) stays in
+# cache for its norms, and loading holds no float32 buffer larger than this.
 _BLOCK_BYTES = 1 << 17
 
 
@@ -56,8 +56,9 @@ def _float64_rows(shape: tuple[int, int], block, nonfinite: str):
         out = rows[start : start + step]
         out[...] = block(start, start + len(out))
         norms = np.einsum("ij,ij->i", out, out, out=sq_norms[start : start + step])
-        # A non-finite value makes its row's norm non-finite, so only such a
-        # norm needs the rows checked: finite float64 input can overflow it.
+        # A non-finite value makes its row's norm non-finite, so finite norms
+        # clear their rows. Finite float64 input can overflow a norm too, so
+        # only a non-finite norm sends the block to the element check.
         if not np.isfinite(norms).all() and not np.isfinite(out).all():
             raise ValidationError(nonfinite)
     rows.flags.writeable = sq_norms.flags.writeable = False
@@ -268,7 +269,7 @@ def read_descriptor_file(path: str | Path) -> np.ndarray:
 
 
 def _read_reference_set(path: Path, label: str, shape: tuple[int, int]) -> ReferenceSet:
-    """Stream the reference file at ``path``, which must hold ``shape`` rows.
+    """Stream the reference file at ``path``, whose header must declare ``shape``.
 
     The payload is read one block-sized float32 buffer at a time, so no
     float32 copy of the whole payload is ever held.

@@ -294,10 +294,12 @@ class TestStreamedLoad:
     """load_dataset widens each reference file block by block."""
 
     @pytest.mark.parametrize("dim", [4096, 64])
-    @pytest.mark.parametrize("blocks", [(0, 1), (1, -1), (1, 0), (2, 3)])
-    def test_rows_and_norms_bit_identical(self, tmp_path, rng, dim, blocks):
-        block = ingest._BLOCK_BYTES // (4 * dim)
-        n = blocks[0] * block + blocks[1]
+    @pytest.mark.parametrize(
+        "blocks, extra", [(0, 1), (1, -1), (1, 0), (2, 3)],
+        ids=["1", "block-1", "block", "2block+3"],
+    )
+    def test_rows_and_norms_bit_identical(self, tmp_path, rng, dim, blocks, extra):
+        n = blocks * (ingest._BLOCK_BYTES // (4 * dim)) + extra
         x = rng.standard_normal((n, dim)).astype(np.float32)
         mp, path = _one_set_manifest(tmp_path, x)
         loaded = load_dataset(mp).refs[0]
@@ -315,12 +317,7 @@ class TestStreamedLoad:
         mp, path = _one_set_manifest(tmp_path, rng.standard_normal((n, dim)).astype(np.float32))
         full = path.stat().st_size
         path.write_bytes(path.read_bytes()[: full - 4 * dim * 2])  # the last block falls short
-        real_fstat = ingest.os.fstat
-
-        def stale_fstat(fd):
-            return types.SimpleNamespace(st_size=max(real_fstat(fd).st_size, full))
-
-        monkeypatch.setattr(ingest.os, "fstat", stale_fstat)
+        monkeypatch.setattr(ingest.os, "fstat", lambda fd: types.SimpleNamespace(st_size=full))
         with pytest.raises(DescriptorCorruptionError, match="truncated") as streamed:
             load_dataset(mp)
         with pytest.raises(DescriptorCorruptionError) as whole:
@@ -493,7 +490,8 @@ class TestReferenceSetValidation:
     def test_load_retains_one_float64_copy_of_the_rows(self, tmp_path, rng):
         # 3 x 2000 x 64 references and 8 queries: what load_dataset and one
         # distance stack keep alive must be about the float64 rows, not the
-        # float32 file contents on top of them.
+        # float32 file contents on top of them, and loading must never hold
+        # a float32 copy of a whole payload either.
         n_refs, n_places, dim = 3, 2000, 64
         refs = []
         for u in range(n_refs):
@@ -508,6 +506,7 @@ class TestReferenceSetValidation:
         tracemalloc.start()
         try:
             ds = load_dataset(manifest)
+            _, load_peak = tracemalloc.get_traced_memory()
             stack = distance_stack(ds.queries[0], ds.refs)
             retained, _ = tracemalloc.get_traced_memory()
         finally:
@@ -515,28 +514,7 @@ class TestReferenceSetValidation:
         assert stack.n_refs == n_refs
         float64_rows = n_refs * n_places * dim * 8
         assert retained < 1.2 * float64_rows, retained / float64_rows
-
-    def test_load_peaks_near_the_float64_rows(self, tmp_path, rng):
-        # 3 x 2000 x 64: no float32 copy of a whole payload is ever held.
-        n_refs, n_places, dim = 3, 2000, 64
-        refs = []
-        for u in range(n_refs):
-            path = tmp_path / f"ref{u}.vprd"
-            write_descriptor_file(path, rng.standard_normal((n_places, dim)))
-            refs.append((f"c{u}", path))
-        write_descriptor_file(tmp_path / "q.vprd", rng.standard_normal((8, dim)))
-        manifest = tmp_path / "manifest.txt"
-        write_manifest(
-            manifest, DatasetManifest(n_places, dim, tmp_path / "q.vprd", 0, refs)
-        )
-        tracemalloc.start()
-        try:
-            load_dataset(manifest)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        float64_rows = n_refs * n_places * dim * 8
-        assert peak < 1.1 * float64_rows, peak / float64_rows
+        assert load_peak < 1.1 * float64_rows, load_peak / float64_rows
 
     def test_dataset_rejects_mixed_shapes(self):
         a = ReferenceSet("a", np.ones((3, 2), dtype=np.float32))

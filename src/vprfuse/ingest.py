@@ -262,7 +262,7 @@ def read_descriptor_file(path: str | Path) -> np.ndarray:
     with open(path, "rb") as fh:
         shape, fill = _open_payload(fh, path)
         arr = fill(np.empty(shape, dtype="<f4"))
-    if not np.isfinite(arr).all():
+    if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{path}: non-finite descriptor value")
     # A no-op on little-endian hosts; a byte-swapping copy elsewhere.
     return arr.astype(np.float32, copy=False)

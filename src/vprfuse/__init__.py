@@ -10,9 +10,6 @@ baselines with precision-recall metrics.
 from .distance import DistanceStack, distance_stack, distance_vector
 from .errors import (
     DegenerateReferenceError,
-    DescriptorCorruptionError,
-    DescriptorFormatError,
-    ManifestError,
     NoInformationError,
     ValidationError,
     VPRFuseError,

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .distance import distance_stack
-from .errors import NoInformationError, VPRFuseError
+from .errors import NoInformationError, ValidationError, VPRFuseError
 from .evaluation import TimingReport, bench_query, evaluate_method
 from .fusion import decide, posterior, uniform_prior
 from .ingest import (
@@ -93,7 +93,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for k, pr_file in enumerate(pr_files):
             first = pr_files.index(pr_file)
             if first < k:
-                raise VPRFuseError(
+                raise ValidationError(
                     f"methods {methods[first].name!r} and {methods[k].name!r} "
                     f"would both write {pr_file}"
                 )
@@ -125,13 +125,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_match(args: argparse.Namespace) -> int:
     if not 0.0 < args.threshold < 1.0:
-        raise VPRFuseError(
+        raise ValidationError(
             f"--threshold must lie in (0, 1), got {args.threshold}"
         )
     dataset = load_dataset(args.manifest)
     query = read_descriptor_file(args.query_file)
     if query.shape[0] != 1:
-        raise VPRFuseError(
+        raise ValidationError(
             f"match expects a single-descriptor query file, got {query.shape[0]} rows"
         )
     method = resolve_method(args.method, dataset.labels)
@@ -189,6 +189,8 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.manifest)
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
     report = bench_query(
         dataset,
         method=args.method,

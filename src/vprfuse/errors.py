@@ -7,20 +7,8 @@ class VPRFuseError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DescriptorFormatError(VPRFuseError):
-    """Descriptor file has a bad magic header or an unsupported version."""
-
-
-class DescriptorCorruptionError(VPRFuseError):
-    """Descriptor file payload size differs from what its header declares."""
-
-
 class ValidationError(VPRFuseError):
-    """Input data violates a structural invariant (shape, finiteness, range)."""
-
-
-class ManifestError(VPRFuseError):
-    """Dataset manifest is malformed or inconsistent with referenced files."""
+    """Input is malformed: an array, file, manifest or command-line value."""
 
 
 class DegenerateReferenceError(VPRFuseError):

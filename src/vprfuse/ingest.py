@@ -28,12 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DescriptorCorruptionError,
-    DescriptorFormatError,
-    ManifestError,
-    ValidationError,
-)
+from .errors import ValidationError
 
 _MAGIC = b"VPRD"
 _VERSION = 1
@@ -103,15 +98,16 @@ class ReferenceSet:
 class GroundTruth:
     """True place index per query, plus the index tolerance for a correct match."""
 
-    true_place: np.ndarray  # (n_queries,) int64
+    true_place: np.ndarray  # (n_queries,) int64, read-only
     tolerance: int
 
     def __post_init__(self):
-        arr = np.asarray(self.true_place, dtype=np.int64)
+        arr = np.array(self.true_place, dtype=np.int64)  # own copy
         if arr.ndim != 1:
             raise ValidationError("ground truth must map each query to one place")
         if self.tolerance < 0:
             raise ValidationError("ground-truth tolerance must be non-negative")
+        arr.flags.writeable = False
         object.__setattr__(self, "true_place", arr)
 
     @property
@@ -133,11 +129,13 @@ class DatasetManifest:
 class Dataset:
     """A fully loaded dataset: immutable after construction, safe to share.
 
-    Each reference set owns its float64 rows; ``queries`` keeps its dtype.
+    Each reference set owns its float64 rows, and ``queries`` is the dataset's
+    own read-only float64 copy of the query rows, built by the same block
+    kernel.  At least one query is required.
     """
 
     refs: list[ReferenceSet]
-    queries: np.ndarray  # (n_queries, dim)
+    queries: np.ndarray  # (n_queries, dim) float64, read-only
     ground_truth: GroundTruth
 
     def __post_init__(self):
@@ -151,23 +149,21 @@ class Dataset:
                     f"{(ref.n_places, ref.dim)}, expected {(n, d)}"
                 )
         q = np.asarray(self.queries)
-        if q.ndim != 2 or q.shape[1] != d:
+        if q.ndim != 2 or q.shape[1] != d or q.shape[0] == 0:
             raise ValidationError(
                 f"queries must be (n_queries, {d}), got shape {q.shape}"
             )
-        if not np.all(np.isfinite(q)):
-            raise ValidationError("non-finite query descriptor component")
+        queries, _ = _float64_rows(
+            q.shape, lambda i, j: q[i:j], "non-finite query descriptor component"
+        )
         if self.ground_truth.n_queries != q.shape[0]:
             raise ValidationError(
                 f"ground truth covers {self.ground_truth.n_queries} queries, "
                 f"dataset has {q.shape[0]}"
             )
-        if self.ground_truth.n_queries and (
-            self.ground_truth.true_place.min() < 0
-            or self.ground_truth.true_place.max() >= n
-        ):
+        if self.ground_truth.true_place.min() < 0 or self.ground_truth.true_place.max() >= n:
             raise ValidationError("ground-truth place index out of range")
-        object.__setattr__(self, "queries", q)
+        object.__setattr__(self, "queries", queries)
 
     @property
     def n_places(self) -> int:
@@ -221,31 +217,31 @@ def _open_payload(fh, path) -> tuple[tuple[int, int], Callable]:
     """
     header = fh.read(_HEADER.size)
     if len(header) < _HEADER.size:
-        raise DescriptorFormatError(f"{path}: file shorter than header")
+        raise ValidationError(f"{path}: file shorter than header")
     magic, version, n, dim = _HEADER.unpack(header)
     if magic != _MAGIC:
-        raise DescriptorFormatError(f"{path}: bad magic {magic!r}")
+        raise ValidationError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
-        raise DescriptorFormatError(f"{path}: unsupported version {version}")
+        raise ValidationError(f"{path}: unsupported version {version}")
     if n == 0 or dim == 0:
-        raise DescriptorFormatError(f"{path}: zero rows or zero dimension")
+        raise ValidationError(f"{path}: zero rows or zero dimension")
     expected = n * dim * 4
     # Compare the declared payload with the file size before reading, so
     # a corrupt header cannot demand a buffer larger than the file.
     stored = os.fstat(fh.fileno()).st_size - _HEADER.size
     if stored < expected:
-        raise DescriptorCorruptionError(
+        raise ValidationError(
             f"{path}: payload truncated ({stored} of {expected} bytes)"
         )
     if stored > expected:
-        raise DescriptorCorruptionError(f"{path}: trailing bytes after payload")
+        raise ValidationError(f"{path}: trailing bytes after payload")
 
     def fill(buf: np.ndarray) -> np.ndarray:
         # The file can shrink between fstat and the read; never use the
         # uninitialized tail.
         if fh.readinto(buf) < buf.nbytes:
             got = fh.tell() - _HEADER.size
-            raise DescriptorCorruptionError(
+            raise ValidationError(
                 f"{path}: payload truncated while reading ({got} of {expected} bytes)"
             )
         return buf
@@ -277,7 +273,7 @@ def _read_reference_set(path: Path, label: str, shape: tuple[int, int]) -> Refer
     with open(path, "rb") as fh:
         declared, fill = _open_payload(fh, path)
         if declared != shape:
-            raise ManifestError(f"{path}: declares shape {declared}, manifest says {shape}")
+            raise ValidationError(f"{path}: declares shape {declared}, manifest says {shape}")
         rows, sq_norms = _float64_rows(
             shape,
             lambda i, j: fill(np.empty((j - i, shape[1]), dtype="<f4")),
@@ -336,7 +332,7 @@ def _parse_int(path: Path, key: str, value: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ManifestError(f"{path}: {key} must be an integer, got {value!r}")
+        raise ValidationError(f"{path}: {key} must be an integer, got {value!r}")
 
 
 _SCALAR_KEYS = frozenset({"places", "dim", "query", "gt_tolerance", "gt"})
@@ -350,36 +346,36 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: {exc}")
+        raise ValidationError(f"{path}: {exc}")
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ManifestError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key == "ref":
             label, sep, ref_path = value.partition(",")
             if not sep or not label.strip() or not ref_path.strip():
-                raise ManifestError(
+                raise ValidationError(
                     f"{path}:{lineno}: ref needs '<label>,<path>', got {value!r}"
                 )
             refs.append((label.strip(), base / ref_path.strip()))
         elif key in _SCALAR_KEYS:
             if key in scalars:
-                raise ManifestError(f"{path}:{lineno}: duplicate key {key!r}")
+                raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
             scalars[key] = value
         else:
-            raise ManifestError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
     missing = {"places", "dim", "query", "gt_tolerance"} - set(scalars)
     if missing:
-        raise ManifestError(f"{path}: missing keys {sorted(missing)}")
+        raise ValidationError(f"{path}: missing keys {sorted(missing)}")
     if not refs:
-        raise ManifestError(f"{path}: needs at least one 'ref = <label>,<path>'")
+        raise ValidationError(f"{path}: needs at least one 'ref = <label>,<path>'")
     tolerance = _parse_int(path, "gt_tolerance", scalars["gt_tolerance"])
     if tolerance < 0:
-        raise ManifestError(f"{path}: gt_tolerance must be non-negative")
+        raise ValidationError(f"{path}: gt_tolerance must be non-negative")
     return DatasetManifest(
         places=_parse_int(path, "places", scalars["places"]),
         dim=_parse_int(path, "dim", scalars["dim"]),
@@ -391,7 +387,17 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
 
 
 def write_manifest(path: str | Path, manifest: DatasetManifest) -> None:
-    """Write a manifest; stored paths are made relative to the manifest dir."""
+    """Write a manifest; stored paths are made relative to the manifest dir.
+
+    Raises ValidationError for a label that parse_manifest would not read
+    back unchanged: empty, padded with whitespace, or holding ``,``, ``\\n``
+    or ``\\r``.
+    """
+    for label, _ in manifest.refs:
+        if not label or label != label.strip() or any(c in label for c in ",\n\r"):
+            raise ValidationError(
+                f"reference label {label!r} would not read back from a manifest"
+            )
     path = Path(path)
     base = path.parent
 
@@ -418,36 +424,34 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
 
     Every referenced file must exist and agree with the declared place count
     and dimension; inconsistencies are rejected before any computation runs.
+    The query file and the ground truth are read and checked before the
+    reference payloads, the bulk of the input, are streamed.
     Without a ``gt`` entry the ground truth is the identity mapping
     (query ``j`` depicts place ``j``).
     """
     manifest = parse_manifest(manifest_path)
-    refs = []
-    for label, ref_path in manifest.refs:
-        if not Path(ref_path).is_file():
-            raise ManifestError(f"referenced file missing: {ref_path}")
-        refs.append(_read_reference_set(ref_path, label, (manifest.places, manifest.dim)))
-    if not Path(manifest.query_path).is_file():
-        raise ManifestError(f"referenced file missing: {manifest.query_path}")
+    for path in [p for _, p in manifest.refs] + [manifest.query_path, manifest.gt_path]:
+        if path is not None and not Path(path).is_file():
+            raise ValidationError(f"referenced file missing: {path}")
     queries = read_descriptor_file(manifest.query_path)
     if queries.shape[1] != manifest.dim:
-        raise ManifestError(
+        raise ValidationError(
             f"{manifest.query_path}: dimension {queries.shape[1]}, "
             f"manifest says {manifest.dim}"
         )
     if manifest.gt_path is not None:
-        if not Path(manifest.gt_path).is_file():
-            raise ManifestError(f"referenced file missing: {manifest.gt_path}")
         ground_truth = read_ground_truth(manifest.gt_path, manifest.gt_tolerance)
+    elif queries.shape[0] > manifest.places:
+        raise ValidationError(
+            "identity ground truth needs n_queries <= places; "
+            "add an explicit 'gt = <path>' entry"
+        )
     else:
-        if queries.shape[0] > manifest.places:
-            raise ManifestError(
-                "identity ground truth needs n_queries <= places; "
-                "add an explicit 'gt = <path>' entry"
-            )
         ground_truth = GroundTruth(
             np.arange(queries.shape[0], dtype=np.int64), manifest.gt_tolerance
         )
+    shape = (manifest.places, manifest.dim)
+    refs = [_read_reference_set(p, label, shape) for label, p in manifest.refs]
     return Dataset(refs=refs, queries=queries, ground_truth=ground_truth)
 
 

@@ -328,3 +328,14 @@ class TestBench:
         assert lines[0] == "method,phase,mean_s,median_s"
         phases = [line.split(",")[1] for line in lines[1:]]
         assert phases == ["distance", "selection", "fusion", "total"]
+
+    def test_out_dir_is_created(self, capsys, tmp_path):
+        manifest = synth(capsys, tmp_path / "data")
+        out = tmp_path / "new" / "timing"
+        code, stdout, err = run(
+            capsys, "bench", "--manifest", str(manifest),
+            "--repetitions", "1", "--queries", "2", "--out", str(out),
+        )
+        assert code == 0, err
+        assert stdout == ""
+        assert (out / "timing.csv").read_text().startswith("method,phase,mean_s,median_s\n")

@@ -29,12 +29,7 @@ from vprfuse import (
     write_manifest,
 )
 from vprfuse import ingest
-from vprfuse.errors import (
-    DescriptorCorruptionError,
-    DescriptorFormatError,
-    ManifestError,
-    ValidationError,
-)
+from vprfuse.errors import ValidationError
 
 
 class TestDescriptorFile:
@@ -60,19 +55,19 @@ class TestDescriptorFile:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "d.vprd"
         path.write_bytes(struct.pack("<4sIII", b"XXXX", 1, 1, 1) + b"\x00" * 4)
-        with pytest.raises(DescriptorFormatError):
+        with pytest.raises(ValidationError, match="bad magic"):
             read_descriptor_file(path)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "d.vprd"
         path.write_bytes(struct.pack("<4sIII", b"VPRD", 9, 1, 1) + b"\x00" * 4)
-        with pytest.raises(DescriptorFormatError):
+        with pytest.raises(ValidationError, match="unsupported version"):
             read_descriptor_file(path)
 
     def test_short_header(self, tmp_path):
         path = tmp_path / "d.vprd"
         path.write_bytes(b"VPR")
-        with pytest.raises(DescriptorFormatError):
+        with pytest.raises(ValidationError, match="shorter than header"):
             read_descriptor_file(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -80,14 +75,14 @@ class TestDescriptorFile:
         write_descriptor_file(path, np.ones((4, 4), dtype=np.float32))
         data = path.read_bytes()
         path.write_bytes(data[:-5])
-        with pytest.raises(DescriptorCorruptionError):
+        with pytest.raises(ValidationError, match=r"payload truncated \("):
             read_descriptor_file(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "d.vprd"
         write_descriptor_file(path, np.ones((2, 2), dtype=np.float32))
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(DescriptorCorruptionError):
+        with pytest.raises(ValidationError, match="trailing bytes"):
             read_descriptor_file(path)
 
     def test_oversized_header_rejected_before_allocating(self, tmp_path):
@@ -95,7 +90,7 @@ class TestDescriptorFile:
         path.write_bytes(struct.pack("<4sIII", b"VPRD", 1, 4096, 4096) + bytes(8))
         tracemalloc.start()
         try:
-            with pytest.raises(DescriptorCorruptionError):
+            with pytest.raises(ValidationError, match=r"payload truncated \("):
                 read_descriptor_file(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -114,7 +109,7 @@ class TestDescriptorFile:
             return types.SimpleNamespace(st_size=real_fstat(fd).st_size + 16)
 
         monkeypatch.setattr(ingest.os, "fstat", stale_fstat)
-        with pytest.raises(DescriptorCorruptionError, match="truncated"):
+        with pytest.raises(ValidationError, match="truncated while reading"):
             read_descriptor_file(path)
 
     def test_read_peaks_below_one_and_a_half_payloads(self, tmp_path, rng):
@@ -217,39 +212,39 @@ class TestManifest:
     def test_unknown_key_rejected(self, tmp_path):
         mp = self._write_dataset(tmp_path)
         mp.write_text(mp.read_text() + "bogus = 1\n")
-        with pytest.raises(ManifestError):
+        with pytest.raises(ValidationError, match="unknown key"):
             parse_manifest(mp)
 
     def test_missing_key_rejected(self, tmp_path):
         mp = tmp_path / "m.txt"
         mp.write_text("places = 3\ndim = 2\n")
-        with pytest.raises(ManifestError):
+        with pytest.raises(ValidationError, match="missing keys"):
             parse_manifest(mp)
 
     def test_duplicate_key_rejected(self, tmp_path):
         mp = self._write_dataset(tmp_path)
         mp.write_text(mp.read_text() + "places = 6\n")
-        with pytest.raises(ManifestError):
+        with pytest.raises(ValidationError, match="duplicate key"):
             parse_manifest(mp)
 
     def test_non_integer_value_names_the_manifest(self, tmp_path):
         mp = self._write_dataset(tmp_path)
         mp.write_text(mp.read_text().replace("places = 6", "places = x"))
-        with pytest.raises(ManifestError, match="places must be an integer") as info:
+        with pytest.raises(ValidationError, match="places must be an integer") as info:
             parse_manifest(mp)
         assert str(mp) in str(info.value) and "line 0" not in str(info.value)
 
     def test_bad_ref_value_rejected(self, tmp_path):
         mp = tmp_path / "m.txt"
         mp.write_text("places = 1\ndim = 1\nquery = q\ngt_tolerance = 0\nref = nopath\n")
-        with pytest.raises(ManifestError):
+        with pytest.raises(ValidationError, match="ref needs"):
             parse_manifest(mp)
 
     def test_shape_mismatch_rejected_before_compute(self, tmp_path):
         mp = self._write_dataset(tmp_path)
         text = mp.read_text().replace("places = 6", "places = 7")
         mp.write_text(text)
-        with pytest.raises(ManifestError):
+        with pytest.raises(ValidationError, match="manifest says"):
             load_dataset(mp)
 
     def test_shape_mismatch_found_from_the_header(self, tmp_path, rng):
@@ -260,7 +255,7 @@ class TestManifest:
         write_manifest(mp, DatasetManifest(2001, 512, tmp_path / "q.vprd", 0, [("a", path)]))
         tracemalloc.start()
         try:
-            with pytest.raises(ManifestError, match=r"\(2000, 512\), manifest says \(2001, 512\)"):
+            with pytest.raises(ValidationError, match=r"\(2000, 512\), manifest says \(2001, 512\)"):
                 load_dataset(mp)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -270,8 +265,28 @@ class TestManifest:
     def test_missing_file_rejected(self, tmp_path):
         mp = self._write_dataset(tmp_path)
         (tmp_path / "winter.vprd").unlink()
-        with pytest.raises(ManifestError):
+        with pytest.raises(ValidationError, match="referenced file missing"):
             load_dataset(mp)
+
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", " a", "a\t", ""])
+    def test_write_rejects_a_label_that_would_not_read_back(self, tmp_path, label):
+        manifest = DatasetManifest(1, 1, tmp_path / "q.vprd", 0, [(label, tmp_path / "r.vprd")])
+        with pytest.raises(ValidationError, match="would not read back"):
+            write_manifest(tmp_path / "m.txt", manifest)
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_labels_round_trip(self, tmp_path):
+        refs = [(label, tmp_path / f"r{u}.vprd") for u, label in enumerate(["cond0", "a b", "x=y", "#1"])]
+        write_manifest(tmp_path / "m.txt", DatasetManifest(1, 1, tmp_path / "q.vprd", 0, refs))
+        assert parse_manifest(tmp_path / "m.txt").refs == refs
+
+    @pytest.mark.parametrize("with_gt", [True, False])
+    def test_loaded_arrays_are_read_only(self, tmp_path, with_gt):
+        ds = load_dataset(self._write_dataset(tmp_path, with_gt=with_gt))
+        assert ds.queries.dtype == np.float64 and ds.ground_truth.true_place.dtype == np.int64
+        for arr in (ds.queries, ds.ground_truth.true_place):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_identity_ground_truth_default(self, tmp_path):
         mp = self._write_dataset(tmp_path, with_gt=False)
@@ -288,6 +303,43 @@ def _one_set_manifest(tmp_path, rows):
     mp = tmp_path / "manifest.txt"
     write_manifest(mp, DatasetManifest(*rows.shape, tmp_path / "q.vprd", 0, [("a", path)]))
     return mp, path
+
+
+def _three_set_manifest(tmp_path, rng, query_dim=64, gt_path=None):
+    """A manifest over 3 x 2000 x 64 reference files and 8 queries of ``query_dim``."""
+    refs = []
+    for u in range(3):
+        path = tmp_path / f"ref{u}.vprd"
+        write_descriptor_file(path, rng.standard_normal((2000, 64)))
+        refs.append((f"c{u}", path))
+    write_descriptor_file(tmp_path / "q.vprd", rng.standard_normal((8, query_dim)))
+    manifest = tmp_path / "manifest.txt"
+    write_manifest(manifest, DatasetManifest(2000, 64, tmp_path / "q.vprd", 0, refs, gt_path))
+    return manifest
+
+
+class TestFailFastLoad:
+    """load_dataset rejects a bad query file or ground truth before streaming references."""
+
+    @staticmethod
+    def _peak_of_rejected_load(manifest, match):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=match):
+                load_dataset(manifest)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_missing_ground_truth(self, tmp_path, rng):
+        mp = _three_set_manifest(tmp_path, rng, gt_path=tmp_path / "gt.csv")
+        peak = self._peak_of_rejected_load(mp, "referenced file missing: .*gt.csv")
+        assert peak < 1 << 20
+
+    def test_query_dimension_disagrees_with_the_manifest(self, tmp_path, rng):
+        mp = _three_set_manifest(tmp_path, rng, query_dim=63)
+        peak = self._peak_of_rejected_load(mp, "dimension 63, manifest says 64")
+        assert peak < 2000 * 64 * 8  # one set's float64 rows
 
 
 class TestStreamedLoad:
@@ -317,10 +369,16 @@ class TestStreamedLoad:
         mp, path = _one_set_manifest(tmp_path, rng.standard_normal((n, dim)).astype(np.float32))
         full = path.stat().st_size
         path.write_bytes(path.read_bytes()[: full - 4 * dim * 2])  # the last block falls short
-        monkeypatch.setattr(ingest.os, "fstat", lambda fd: types.SimpleNamespace(st_size=full))
-        with pytest.raises(DescriptorCorruptionError, match="truncated") as streamed:
+        real_fstat, short = ingest.os.fstat, path.stat().st_size
+
+        def stale_fstat(fd):  # the reference file still reports its old size
+            size = real_fstat(fd).st_size
+            return types.SimpleNamespace(st_size=full if size == short else size)
+
+        monkeypatch.setattr(ingest.os, "fstat", stale_fstat)
+        with pytest.raises(ValidationError, match="truncated while reading") as streamed:
             load_dataset(mp)
-        with pytest.raises(DescriptorCorruptionError) as whole:
+        with pytest.raises(ValidationError) as whole:
             read_descriptor_file(path)
         assert str(path) in str(streamed.value)
         assert str(streamed.value) == str(whole.value)
@@ -366,6 +424,14 @@ class TestGroundTruthFile:
         path.write_text("query_index,place_index\n0,0\n2,2\n")
         with pytest.raises(ValidationError):
             read_ground_truth(path, 0)
+
+    def test_keeps_a_read_only_int64_copy(self):
+        original = np.arange(4, dtype=np.int64)
+        gt = GroundTruth(original, 0)
+        with pytest.raises(ValueError):
+            gt.true_place[0] = 1
+        original[0] = 3  # the caller's array stays writable and unshared
+        assert gt.true_place[0] == 0 and gt.true_place.dtype == np.int64
 
     @pytest.mark.parametrize("place", ["-1", str(2**63)])
     def test_place_index_outside_int64_rejected(self, tmp_path, place):
@@ -493,16 +559,7 @@ class TestReferenceSetValidation:
         # float32 file contents on top of them, and loading must never hold
         # a float32 copy of a whole payload either.
         n_refs, n_places, dim = 3, 2000, 64
-        refs = []
-        for u in range(n_refs):
-            path = tmp_path / f"ref{u}.vprd"
-            write_descriptor_file(path, rng.standard_normal((n_places, dim)))
-            refs.append((f"c{u}", path))
-        write_descriptor_file(tmp_path / "q.vprd", rng.standard_normal((8, dim)))
-        manifest = tmp_path / "manifest.txt"
-        write_manifest(
-            manifest, DatasetManifest(n_places, dim, tmp_path / "q.vprd", 0, refs)
-        )
+        manifest = _three_set_manifest(tmp_path, rng)
         tracemalloc.start()
         try:
             ds = load_dataset(manifest)
@@ -515,6 +572,24 @@ class TestReferenceSetValidation:
         float64_rows = n_refs * n_places * dim * 8
         assert retained < 1.2 * float64_rows, retained / float64_rows
         assert load_peak < 1.1 * float64_rows, load_peak / float64_rows
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_queries_are_a_read_only_float64_copy(self, rng, dtype):
+        original = rng.standard_normal((3, 2)).astype(dtype)
+        ds = Dataset([ReferenceSet("x", np.ones((3, 2)))], original, GroundTruth(np.arange(3), 0))
+        assert ds.queries.dtype == np.float64 and ds.queries.flags.c_contiguous
+        np.testing.assert_array_equal(ds.queries, original)
+        with pytest.raises(ValueError):
+            ds.queries[0, 0] = 1.0
+        original[:] = 0.0  # the caller's array stays writable and unshared
+        assert not np.shares_memory(ds.queries, original) and ds.queries.any()
+
+    def test_dataset_rejects_bad_queries(self):
+        ref = ReferenceSet("x", np.ones((3, 2)))
+        with pytest.raises(ValidationError, match=r"got shape \(0, 2\)"):
+            Dataset([ref], np.empty((0, 2)), GroundTruth(np.arange(0), 0))
+        with pytest.raises(ValidationError, match="non-finite query descriptor component"):
+            Dataset([ref], np.array([[0.0, np.inf]]), GroundTruth(np.arange(1), 0))
 
     def test_dataset_rejects_mixed_shapes(self):
         a = ReferenceSet("a", np.ones((3, 2), dtype=np.float32))

@@ -276,7 +276,8 @@ class TestManifest:
         assert not (tmp_path / "m.txt").exists()
 
     def test_labels_round_trip(self, tmp_path):
-        refs = [(label, tmp_path / f"r{u}.vprd") for u, label in enumerate(["cond0", "a b", "x=y", "#1"])]
+        labels = ["cond0", "a b", "x=y", "#1"]
+        refs = [(label, tmp_path / f"r{u}.vprd") for u, label in enumerate(labels)]
         write_manifest(tmp_path / "m.txt", DatasetManifest(1, 1, tmp_path / "q.vprd", 0, refs))
         assert parse_manifest(tmp_path / "m.txt").refs == refs
 

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _real_array
 
 _MAGIC = b"VPRD"
 _VERSION = 1
@@ -74,7 +74,8 @@ class ReferenceSet:
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)  # (n_places,)
 
     def __post_init__(self):
-        src, what = np.asarray(self.descriptors), f"reference set {self.label!r}"
+        what = f"reference set {self.label!r}"
+        src = _real_array(self.descriptors, what)
         if src.ndim != 2 or src.size == 0:
             raise ValidationError(
                 f"{what} must be a non-empty 2-D array, got shape {src.shape}"
@@ -102,9 +103,18 @@ class GroundTruth:
     tolerance: int
 
     def __post_init__(self):
-        arr = np.array(self.true_place, dtype=np.int64)  # own copy
-        if arr.ndim != 1:
+        src = _real_array(self.true_place, "ground-truth place indices")
+        if src.ndim != 1:
             raise ValidationError("ground truth must map each query to one place")
+        # A fraction, NaN or value outside int64 does not survive the cast.
+        with np.errstate(invalid="ignore"):
+            arr = src.astype(np.int64)  # own copy
+        if not np.array_equal(arr, src):
+            raise ValidationError("ground-truth place indices must be int64 integers")
+        if not isinstance(self.tolerance, (int, np.integer)):
+            raise ValidationError(
+                f"ground-truth tolerance must be an integer, got {self.tolerance!r}"
+            )
         if self.tolerance < 0:
             raise ValidationError("ground-truth tolerance must be non-negative")
         arr.flags.writeable = False
@@ -113,6 +123,14 @@ class GroundTruth:
     @property
     def n_queries(self) -> int:
         return self.true_place.shape[0]
+
+
+def _check_ground_truth(gt: GroundTruth, n_queries: int, n_places: int) -> None:
+    """Raise ValidationError unless ``gt`` maps ``n_queries`` queries into ``n_places``."""
+    if gt.n_queries != n_queries:
+        raise ValidationError(f"ground truth covers {gt.n_queries} queries, dataset has {n_queries}")
+    if gt.true_place.min() < 0 or gt.true_place.max() >= n_places:
+        raise ValidationError("ground-truth place index out of range")
 
 
 @dataclass
@@ -148,7 +166,7 @@ class Dataset:
                     f"reference set {ref.label!r} has shape "
                     f"{(ref.n_places, ref.dim)}, expected {(n, d)}"
                 )
-        q = np.asarray(self.queries)
+        q = _real_array(self.queries, "queries")
         if q.ndim != 2 or q.shape[1] != d or q.shape[0] == 0:
             raise ValidationError(
                 f"queries must be (n_queries, {d}), got shape {q.shape}"
@@ -156,13 +174,7 @@ class Dataset:
         queries, _ = _float64_rows(
             q.shape, lambda i, j: q[i:j], "non-finite query descriptor component"
         )
-        if self.ground_truth.n_queries != q.shape[0]:
-            raise ValidationError(
-                f"ground truth covers {self.ground_truth.n_queries} queries, "
-                f"dataset has {q.shape[0]}"
-            )
-        if self.ground_truth.true_place.min() < 0 or self.ground_truth.true_place.max() >= n:
-            raise ValidationError("ground-truth place index out of range")
+        _check_ground_truth(self.ground_truth, q.shape[0], n)
         object.__setattr__(self, "queries", queries)
 
     @property
@@ -264,24 +276,25 @@ def read_descriptor_file(path: str | Path) -> np.ndarray:
     return arr.astype(np.float32, copy=False)
 
 
-def _read_reference_set(path: Path, label: str, shape: tuple[int, int]) -> ReferenceSet:
-    """Stream the reference file at ``path``, whose header must declare ``shape``.
+def _read_rows(path: Path, dim: int, places: int | None = None):
+    """Read-only float64 rows of descriptor file ``path`` and their squared norms.
 
-    The payload is read one block-sized float32 buffer at a time, so no
-    float32 copy of the whole payload is ever held.
+    Its header must declare ``dim`` columns (and ``places`` rows, when given);
+    the payload is then read one block-sized float32 buffer at a time.
     """
     with open(path, "rb") as fh:
-        declared, fill = _open_payload(fh, path)
-        if declared != shape:
-            raise ValidationError(f"{path}: declares shape {declared}, manifest says {shape}")
-        rows, sq_norms = _float64_rows(
+        shape, fill = _open_payload(fh, path)
+        if places is None and shape[1] != dim:
+            raise ValidationError(f"{path}: dimension {shape[1]}, manifest says {dim}")
+        if places is not None and shape != (places, dim):
+            raise ValidationError(
+                f"{path}: declares shape {shape}, manifest says {(places, dim)}"
+            )
+        return _float64_rows(
             shape,
-            lambda i, j: fill(np.empty((j - i, shape[1]), dtype="<f4")),
+            lambda i, j: fill(np.empty((j - i, dim), dtype="<f4")),
             f"{path}: non-finite descriptor value",
         )
-    ref = object.__new__(ReferenceSet)  # rows and norms are built: skip __init__
-    ref.__dict__.update(label=label, descriptors=rows, sq_norms=sq_norms)
-    return ref
 
 
 def write_ground_truth(path: str | Path, ground_truth: GroundTruth) -> None:
@@ -389,24 +402,26 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
 def write_manifest(path: str | Path, manifest: DatasetManifest) -> None:
     """Write a manifest; stored paths are made relative to the manifest dir.
 
-    Raises ValidationError for a label that parse_manifest would not read
-    back unchanged: empty, padded with whitespace, or holding ``,``, ``\\n``
-    or ``\\r``.
+    Raises ValidationError for a label or path that parse_manifest would not
+    read back unchanged: empty, padded with whitespace, holding ``\\n`` or
+    ``\\r``, or, for a label, holding ``,``.
     """
-    for label, _ in manifest.refs:
-        if not label or label != label.strip() or any(c in label for c in ",\n\r"):
-            raise ValidationError(
-                f"reference label {label!r} would not read back from a manifest"
-            )
     path = Path(path)
     base = path.parent
 
+    def readable(text: str, what: str, forbidden: str = "\n\r") -> str:
+        if not text or text != text.strip() or any(c in text for c in forbidden):
+            raise ValidationError(f"{what} {text!r} would not read back from a manifest")
+        return text
+
     def rel(p: Path) -> str:
         try:
-            return str(Path(p).relative_to(base))
+            text = str(Path(p).relative_to(base))
         except ValueError:
-            return str(p)
+            text = str(p)
+        return readable(text, "path")
 
+    refs = [(readable(label, "reference label", ",\n\r"), rel(p)) for label, p in manifest.refs]
     lines = [
         f"places = {manifest.places}",
         f"dim = {manifest.dim}",
@@ -415,7 +430,7 @@ def write_manifest(path: str | Path, manifest: DatasetManifest) -> None:
     ]
     if manifest.gt_path is not None:
         lines.append(f"gt = {rel(manifest.gt_path)}")
-    lines.extend(f"ref = {label},{rel(p)}" for label, p in manifest.refs)
+    lines.extend(f"ref = {label},{p}" for label, p in refs)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -423,35 +438,32 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load and validate an entire dataset described by a manifest.
 
     Every referenced file must exist and agree with the declared place count
-    and dimension; inconsistencies are rejected before any computation runs.
-    The query file and the ground truth are read and checked before the
-    reference payloads, the bulk of the input, are streamed.
-    Without a ``gt`` entry the ground truth is the identity mapping
-    (query ``j`` depicts place ``j``).
+    and dimension.  The query file and the ground truth are read and checked
+    against each other and the place count before the reference payloads,
+    the bulk of the input, are streamed.  Without a ``gt`` entry the ground
+    truth is the identity mapping (query ``j`` depicts place ``j``).
     """
     manifest = parse_manifest(manifest_path)
     for path in [p for _, p in manifest.refs] + [manifest.query_path, manifest.gt_path]:
         if path is not None and not Path(path).is_file():
             raise ValidationError(f"referenced file missing: {path}")
-    queries = read_descriptor_file(manifest.query_path)
-    if queries.shape[1] != manifest.dim:
-        raise ValidationError(
-            f"{manifest.query_path}: dimension {queries.shape[1]}, "
-            f"manifest says {manifest.dim}"
-        )
+    queries, _ = _read_rows(manifest.query_path, manifest.dim)
     if manifest.gt_path is not None:
         ground_truth = read_ground_truth(manifest.gt_path, manifest.gt_tolerance)
-    elif queries.shape[0] > manifest.places:
+        _check_ground_truth(ground_truth, len(queries), manifest.places)
+    elif len(queries) > manifest.places:
         raise ValidationError(
             "identity ground truth needs n_queries <= places; "
             "add an explicit 'gt = <path>' entry"
         )
     else:
-        ground_truth = GroundTruth(
-            np.arange(queries.shape[0], dtype=np.int64), manifest.gt_tolerance
-        )
-    shape = (manifest.places, manifest.dim)
-    refs = [_read_reference_set(p, label, shape) for label, p in manifest.refs]
+        ground_truth = GroundTruth(np.arange(len(queries)), manifest.gt_tolerance)
+    refs = []
+    for label, path in manifest.refs:
+        rows, sq_norms = _read_rows(path, manifest.dim, manifest.places)
+        ref = object.__new__(ReferenceSet)  # rows and norms are built: skip __init__
+        ref.__dict__.update(label=label, descriptors=rows, sq_norms=sq_norms)
+        refs.append(ref)
     return Dataset(refs=refs, queries=queries, ground_truth=ground_truth)
 
 

@@ -29,7 +29,7 @@ from vprfuse import (
     write_manifest,
 )
 from vprfuse import ingest
-from vprfuse.errors import ValidationError
+from vprfuse.errors import ValidationError, checked_array
 
 
 class TestDescriptorFile:
@@ -268,18 +268,32 @@ class TestManifest:
         with pytest.raises(ValidationError, match="referenced file missing"):
             load_dataset(mp)
 
-    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", " a", "a\t", ""])
-    def test_write_rejects_a_label_that_would_not_read_back(self, tmp_path, label):
-        manifest = DatasetManifest(1, 1, tmp_path / "q.vprd", 0, [(label, tmp_path / "r.vprd")])
+    @pytest.mark.parametrize(
+        "field, text",
+        [pytest.param("label", t, id=t) for t in ["a,b", "a\nb", "a\rb", " a", "a\t", ""]]
+        + [
+            pytest.param(field, t, id=f"{field}-{case}")
+            for field in ("query", "gt", "ref")
+            for case, t in [("lead", " p"), ("trail", "p "), ("lf", "a\nb"), ("cr", "a\rb")]
+        ],
+    )
+    def test_write_rejects_a_label_that_would_not_read_back(self, tmp_path, field, text):
+        # Labels and the query, gt and ref paths follow one rule.
+        names = {"label": "a", "query": "q.vprd", "gt": "gt.csv", "ref": "r.vprd", field: text}
+        manifest = DatasetManifest(
+            1, 1, tmp_path / names["query"], 0,
+            [(names["label"], tmp_path / names["ref"])], tmp_path / names["gt"],
+        )
         with pytest.raises(ValidationError, match="would not read back"):
             write_manifest(tmp_path / "m.txt", manifest)
         assert not (tmp_path / "m.txt").exists()
 
     def test_labels_round_trip(self, tmp_path):
         labels = ["cond0", "a b", "x=y", "#1"]
-        refs = [(label, tmp_path / f"r{u}.vprd") for u, label in enumerate(labels)]
-        write_manifest(tmp_path / "m.txt", DatasetManifest(1, 1, tmp_path / "q.vprd", 0, refs))
-        assert parse_manifest(tmp_path / "m.txt").refs == refs
+        refs = [(label, tmp_path / f"r,{u}.vprd") for u, label in enumerate(labels)]
+        manifest = DatasetManifest(1, 1, tmp_path / "q, 1.vprd", 0, refs, tmp_path / "g,t.csv")
+        write_manifest(tmp_path / "m.txt", manifest)
+        assert parse_manifest(tmp_path / "m.txt") == manifest
 
     @pytest.mark.parametrize("with_gt", [True, False])
     def test_loaded_arrays_are_read_only(self, tmp_path, with_gt):
@@ -297,13 +311,16 @@ class TestManifest:
 
 
 def _one_set_manifest(tmp_path, rows):
-    """A manifest over one reference file holding ``rows`` and a 1-row query."""
-    path = tmp_path / "ref.vprd"
-    write_descriptor_file(path, rows)
-    write_descriptor_file(tmp_path / "q.vprd", np.ones((1, rows.shape[1]), dtype=np.float32))
+    """A manifest over a query file and one reference file, both holding ``rows``.
+
+    Returns the manifest's path and the two files' paths by role.
+    """
+    paths = {"query": tmp_path / "q.vprd", "reference": tmp_path / "ref.vprd"}
+    for path in paths.values():
+        write_descriptor_file(path, rows)
     mp = tmp_path / "manifest.txt"
-    write_manifest(mp, DatasetManifest(*rows.shape, tmp_path / "q.vprd", 0, [("a", path)]))
-    return mp, path
+    write_manifest(mp, DatasetManifest(*rows.shape, paths["query"], 0, [("a", paths["reference"])]))
+    return mp, paths
 
 
 def _three_set_manifest(tmp_path, rng, query_dim=64, gt_path=None):
@@ -342,9 +359,31 @@ class TestFailFastLoad:
         peak = self._peak_of_rejected_load(mp, "dimension 63, manifest says 64")
         assert peak < 2000 * 64 * 8  # one set's float64 rows
 
+    def test_query_dimension_checked_before_the_query_payload(self, tmp_path, rng):
+        # Reading these 4200 x 63 queries would pass 1 MiB and find the NaN.
+        mp = _three_set_manifest(tmp_path, rng)
+        x = np.zeros((4200, 63), dtype="<f4")
+        x[-1, -1] = np.nan  # write_descriptor_file refuses a NaN
+        header = struct.pack("<4sIII", b"VPRD", 1, *x.shape)
+        (tmp_path / "q.vprd").write_bytes(header + x.tobytes())
+        peak = self._peak_of_rejected_load(mp, "dimension 63, manifest says 64")
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "places, match",
+        [([0], "ground truth covers 1 queries, dataset has 8"),
+         ([0] * 7 + [2000], "ground-truth place index out of range")],
+        ids=["count", "range"],
+    )
+    def test_ground_truth_disagrees_with_the_dataset(self, tmp_path, rng, places, match):
+        gt = tmp_path / "gt.csv"
+        write_ground_truth(gt, GroundTruth(places, 0))
+        mp = _three_set_manifest(tmp_path, rng, gt_path=gt)
+        assert self._peak_of_rejected_load(mp, match) < 1 << 20
+
 
 class TestStreamedLoad:
-    """load_dataset widens each reference file block by block."""
+    """load_dataset widens the query file and each reference file block by block."""
 
     @pytest.mark.parametrize("dim", [4096, 64])
     @pytest.mark.parametrize(
@@ -354,25 +393,29 @@ class TestStreamedLoad:
     def test_rows_and_norms_bit_identical(self, tmp_path, rng, dim, blocks, extra):
         n = blocks * (ingest._BLOCK_BYTES // (4 * dim)) + extra
         x = rng.standard_normal((n, dim)).astype(np.float32)
-        mp, path = _one_set_manifest(tmp_path, x)
-        loaded = load_dataset(mp).refs[0]
-        from_array = ReferenceSet("a", read_descriptor_file(path))
+        mp, paths = _one_set_manifest(tmp_path, x)
+        dataset = load_dataset(mp)
+        loaded = dataset.refs[0]
+        from_array = ReferenceSet("a", read_descriptor_file(paths["reference"]))
         wide = np.array(x, np.float64)
+        assert np.array_equal(dataset.queries, wide)
         for ref in (loaded, from_array):
             assert np.array_equal(ref.descriptors, wide)
             assert np.array_equal(ref.sq_norms, np.einsum("ij,ij->i", wide, wide))
             assert not ref.descriptors.flags.writeable and not ref.sq_norms.flags.writeable
             assert ref.descriptors.flags.c_contiguous
 
-    def test_shrinks_after_fstat_in_a_later_block(self, tmp_path, rng, monkeypatch):
+    @pytest.mark.parametrize("role", ["query", "reference"])
+    def test_shrinks_after_fstat_in_a_later_block(self, tmp_path, rng, monkeypatch, role):
         dim = 64
         n = 2 * (ingest._BLOCK_BYTES // (4 * dim)) + 3
-        mp, path = _one_set_manifest(tmp_path, rng.standard_normal((n, dim)).astype(np.float32))
+        mp, paths = _one_set_manifest(tmp_path, rng.standard_normal((n, dim)).astype(np.float32))
+        path = paths[role]
         full = path.stat().st_size
         path.write_bytes(path.read_bytes()[: full - 4 * dim * 2])  # the last block falls short
         real_fstat, short = ingest.os.fstat, path.stat().st_size
 
-        def stale_fstat(fd):  # the reference file still reports its old size
+        def stale_fstat(fd):  # the shrunken file still reports its old size
             size = real_fstat(fd).st_size
             return types.SimpleNamespace(st_size=full if size == short else size)
 
@@ -384,12 +427,14 @@ class TestStreamedLoad:
         assert str(path) in str(streamed.value)
         assert str(streamed.value) == str(whole.value)
 
-    def test_nan_in_the_last_block(self, tmp_path, rng):
+    @pytest.mark.parametrize("role", ["query", "reference"])
+    def test_nan_in_the_last_block(self, tmp_path, rng, role):
         dim = 64
         n = 2 * (ingest._BLOCK_BYTES // (4 * dim)) + 3
         x = rng.standard_normal((n, dim)).astype(np.float32)
         x[-1, -1] = np.nan
-        mp, path = _one_set_manifest(tmp_path, np.zeros_like(x))
+        mp, paths = _one_set_manifest(tmp_path, np.zeros_like(x))
+        path = paths[role]
         payload = path.read_bytes()[:16] + x.astype("<f4").tobytes()
         path.write_bytes(payload)  # write_descriptor_file refuses a NaN
         with pytest.raises(ValidationError) as streamed:
@@ -440,6 +485,27 @@ class TestGroundTruthFile:
         path.write_text(f"query_index,place_index\n0,{place}\n")
         with pytest.raises(ValidationError, match="out of range"):
             read_ground_truth(path, 0)
+
+    @pytest.mark.parametrize(
+        "places",
+        [[0.9, 1.9], [np.nan], [np.inf], [2.0**63], [2**70],
+         np.array([2**63], dtype=np.uint64), ["0"], [1j], [[0], [1, 2]]],
+        ids=["fraction", "nan", "inf", "float-2^63", "int-2^70", "uint64-2^63",
+             "string", "complex", "ragged"],
+    )
+    def test_place_indices_must_be_int64_integers(self, places):
+        with pytest.raises(ValidationError, match="ground-truth place indices"):
+            GroundTruth(places, 0)
+
+    @pytest.mark.parametrize("tolerance", [np.nan, 1.5, "1", None, -1])
+    def test_tolerance_must_be_a_non_negative_integer(self, tolerance):
+        with pytest.raises(ValidationError, match="ground-truth tolerance must be"):
+            GroundTruth([0], tolerance)
+
+    def test_integral_values_of_any_real_dtype_accepted(self):
+        for places in ([0.0, 2.0], np.array([0, 2], dtype=np.uint8), [False, True]):
+            gt = GroundTruth(places, np.int64(1))
+            assert gt.true_place.dtype == np.int64 and gt.true_place.tolist() == [0, int(places[1])]
 
 
 class TestSyntheticGenerator:
@@ -591,6 +657,21 @@ class TestReferenceSetValidation:
             Dataset([ref], np.empty((0, 2)), GroundTruth(np.arange(0), 0))
         with pytest.raises(ValidationError, match="non-finite query descriptor component"):
             Dataset([ref], np.array([[0.0, np.inf]]), GroundTruth(np.arange(1), 0))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([["a", "b"]]), np.array([[object(), 1.0]], dtype=object),
+         [[1.0, 2.0], [3.0]], np.array([[1 + 2j, 0.0]])],
+        ids=["string", "object", "ragged", "complex"],
+    )
+    def test_non_numeric_arrays_rejected(self, bad):
+        ref = ReferenceSet("x", np.ones((1, 2)))
+        with pytest.raises(ValidationError, match="'y' (must hold real|is not a rect)"):
+            ReferenceSet("y", bad)
+        with pytest.raises(ValidationError, match="queries (must hold real|is not a rect)"):
+            Dataset([ref], bad, GroundTruth(np.arange(1), 0))
+        with pytest.raises(ValidationError, match="score (must hold real|is not a rect)"):
+            checked_array(bad, 2, "score")
 
     def test_dataset_rejects_mixed_shapes(self):
         a = ReferenceSet("a", np.ones((3, 2), dtype=np.float32))

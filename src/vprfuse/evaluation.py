@@ -28,6 +28,10 @@ from .methods import Method, resolve_method
 from .selection import DEFAULT_GAMMA
 from .sequence import ScoreMatrix, _check_window, sequence_aggregate
 
+# Stacked float64 distances scored per block: 21 queries at 500 places x 3
+# sets, 3 queries at 3000 x 3.
+_BLOCK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class EvalRecord:
@@ -121,8 +125,10 @@ def evaluate_method(
 ) -> MethodEvaluation:
     """Run one method over every query and build its precision-recall curve.
 
-    Queries are scored one after another; BLAS already spreads each distance
-    computation over the cores.  ``seq_len`` > 1 aggregates the score matrix
+    Queries are scored a block at a time: each query's distance stack and
+    selection are computed one by one, then ``Method.fuse_rows`` scores the
+    whole block with one likelihood pass per reference set.  Rows do not
+    depend on the block size.  ``seq_len`` > 1 aggregates the score matrix
     over trailing windows before deciding; a window that
     ``sequence_aggregate`` would reject raises ValidationError before any
     query is scored.  A row without contrast (every place scored alike, e.g.
@@ -131,11 +137,17 @@ def evaluate_method(
     """
     if isinstance(method, str):
         method = resolve_method(method, [r.label for r in dataset.refs])
+    queries = dataset.queries
     if seq_len != 1:
-        _check_window(seq_len, dataset.queries.shape[0], seq_velocity)
-    rows = np.stack(
-        [method.score_row(distance_stack(q, dataset.refs), gamma) for q in dataset.queries]
-    )
+        _check_window(seq_len, queries.shape[0], seq_velocity)
+    step = max(1, _BLOCK_BYTES // (8 * dataset.n_refs * dataset.n_places))
+    rows = np.empty((queries.shape[0], dataset.n_places))
+    for start in range(0, queries.shape[0], step):
+        stacks = [distance_stack(q, dataset.refs) for q in queries[start : start + step]]
+        selections = [method.select(stack, gamma) for stack in stacks]
+        rows[start : start + step] = method.fuse_rows(
+            np.stack([stack.values for stack in stacks]), selections
+        )
     matrix = ScoreMatrix(rows, method=method.name)
     if seq_len != 1:
         matrix = sequence_aggregate(matrix, seq_len, seq_velocity)
@@ -181,8 +193,8 @@ def bench_query(
 ) -> TimingReport:
     """Wall-clock per-query cost, split into distance / selection / fusion.
 
-    One warm-up query runs first; I/O is excluded.  Queries run
-    sequentially, as in ``evaluate_method``.
+    One warm-up query runs first; I/O is excluded.  Queries run one at a
+    time, each scored by ``Method.fuse``.
     """
     if repetitions < 1 or n_queries < 1:
         raise ValidationError("repetitions and n_queries must be >= 1")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import DistanceStack
-from .errors import DegenerateReferenceError, NoInformationError, ValidationError
+from .errors import NoInformationError, ValidationError
 from .likelihood import log_likelihood_ratio
 from .selection import SelectionResult
 
@@ -66,8 +66,38 @@ class PlaceDecision:
 
 
 def _normalize_log_scores(log_scores: np.ndarray) -> np.ndarray:
-    shifted = np.exp(log_scores - log_scores.max())
-    return shifted / shifted.sum()
+    """Max-shifted softmax of a score vector, or of each row of a block."""
+    shifted = np.exp(log_scores - log_scores.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
+
+
+def fused_log_scores(
+    values: np.ndarray, selected: np.ndarray, log_prior: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block kernel of ``posterior``: log prior plus the selected sets' log ratios.
+
+    ``values`` holds a block of queries' (sets, places) distance stacks and
+    ``selected`` their (queries, sets) selection mask.  Sets are added in
+    ascending order, each as one block of the queries that selected it, so
+    every row is bit-identical to its query fused alone.  Returns the
+    (queries, places) log scores and the (queries, sets) mask of the sets
+    that contributed; a selected set whose distances are degenerate for a
+    query is left out of that query's sum.
+    """
+    log_scores = np.empty((values.shape[0], values.shape[2]))
+    log_scores[:] = log_prior
+    used = np.zeros(selected.shape, dtype=bool)
+    for u in range(values.shape[1]):
+        rows = np.flatnonzero(selected[:, u])
+        if rows.size == 0:
+            continue
+        ratio = log_likelihood_ratio(values[rows, u])
+        usable = ~np.isnan(ratio[:, 0])  # NaN marks a degenerate row
+        if not usable.all():
+            rows, ratio = rows[usable], ratio[usable]
+        log_scores[rows] += ratio
+        used[rows, u] = True
+    return log_scores, used
 
 
 def posterior(
@@ -80,6 +110,7 @@ def posterior(
     log_scores[i] = sum of per-set log likelihood ratios at place i, plus
     log prior[i]; ``normalized`` is its max-shifted softmax.  Sets whose
     likelihood is degenerate are recorded in ``dropped`` and excluded.
+    This is the one-query case of ``fused_log_scores``.
     """
     prior = _validated_prior(prior, stack.n_places)
     if selection.minima.shape[0] != stack.n_refs:
@@ -87,23 +118,18 @@ def posterior(
             f"selection covers {selection.minima.shape[0]} sets, stack has {stack.n_refs}"
         )
     with np.errstate(divide="ignore"):  # one-hot priors contain zeros
-        log_scores = np.log(prior)
-    dropped: list[int] = []
-    contributed = 0
-    for u in selection.selected:
-        try:
-            log_scores = log_scores + log_likelihood_ratio(stack.values[u])
-            contributed += 1
-        except DegenerateReferenceError:
-            dropped.append(u)
-    if contributed == 0:
+        log_prior = np.log(prior)
+    selected = np.zeros((1, stack.n_refs), dtype=bool)
+    selected[0, list(selection.selected)] = True
+    log_scores, used = fused_log_scores(stack.values[None], selected, log_prior)
+    if not used.any():
         raise NoInformationError(
             f"all {len(selection.selected)} selected reference sets are degenerate"
         )
     return Belief(
-        log_scores=log_scores,
-        normalized=_normalize_log_scores(log_scores),
-        dropped=tuple(dropped),
+        log_scores=log_scores[0],
+        normalized=_normalize_log_scores(log_scores[0]),
+        dropped=tuple(u for u in selection.selected if not used[0, u]),
     )
 
 

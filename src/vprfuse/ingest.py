@@ -198,14 +198,13 @@ def write_descriptor_file(path: str | Path, descriptors: np.ndarray) -> None:
     """Write descriptors (one row per item) to the binary container.
 
     Values are stored as little-endian float32; float32 input rounds-trips
-    bit-exactly, other dtypes are cast first.  Raises ValidationError for
-    empty, ragged or non-finite input (including values that overflow
-    float32 on cast).
+    bit-exactly, other real dtypes are cast first.  Raises ValidationError
+    for empty, ragged, string, object, complex or non-finite input
+    (including values that overflow float32 on cast).
     """
-    try:
-        arr = np.asarray(descriptors, dtype=np.float32)
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"descriptor rows have mismatched dimensions: {exc}")
+    src = _real_array(descriptors, "descriptors")
+    with np.errstate(over="ignore"):  # an overflow becomes inf, rejected below
+        arr = src.astype(np.float32, copy=False)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2 or arr.size == 0:
@@ -461,10 +460,18 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     refs = []
     for label, path in manifest.refs:
         rows, sq_norms = _read_rows(path, manifest.dim, manifest.places)
-        ref = object.__new__(ReferenceSet)  # rows and norms are built: skip __init__
-        ref.__dict__.update(label=label, descriptors=rows, sq_norms=sq_norms)
-        refs.append(ref)
-    return Dataset(refs=refs, queries=queries, ground_truth=ground_truth)
+        refs.append(_assembled(ReferenceSet, label=label, descriptors=rows, sq_norms=sq_norms))
+    return _assembled(Dataset, refs=refs, queries=queries, ground_truth=ground_truth)
+
+
+def _assembled(cls, **fields):
+    """A ``cls`` from fields that a load has already built and checked.
+
+    Skips ``__init__``, whose checks and float64 copy would repeat the load's.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -504,7 +511,7 @@ def generate_synthetic(
     if mixture is None:
         weights = np.full(n_conditions, 1.0 / n_conditions)
     else:
-        weights = np.asarray(mixture, dtype=np.float64)
+        weights = _real_array(mixture, "mixture weights").astype(np.float64)
         if weights.shape != (n_conditions,):
             raise ValidationError(
                 f"mixture needs {n_conditions} weights, got {weights.shape}"

@@ -10,6 +10,10 @@ likelihood is a Gaussian fitted to all entries of D.  The log ratio
 is returned up to per-vector additive constants, which downstream
 normalization removes.  The mean and variance deliberately include the
 true-match entry; with realistic N the bias is negligible.
+
+Every function takes one vector or a (rows, N) block of them and works
+along the last axis; a vector is the one-row case, and each row of a block
+is bit-identical to the same row passed alone.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateReferenceError, checked_array
+from .errors import DegenerateReferenceError, _real_array, checked_array
 
 # Variance floor below which a distance vector carries no contrast.
 SIGMA2_MIN = 1e-12
@@ -29,10 +33,17 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class GaussianParams:
-    """Mean and population variance of one distance vector."""
+    """Mean and population variance of one distance vector (floats), or of
+    each row of a block ((rows,) arrays)."""
 
-    mu: float
-    sigma2: float
+    mu: float | np.ndarray
+    sigma2: float | np.ndarray
+
+
+def _distance_rows(d) -> np.ndarray:
+    """``d`` as a checked float64 vector or (rows, N) block."""
+    ndim = _real_array(d, "distance vector").ndim
+    return checked_array(d, 2 if ndim == 2 else 1, "distance vector")
 
 
 def place_match_counts(d: np.ndarray) -> np.ndarray:
@@ -40,41 +51,61 @@ def place_match_counts(d: np.ndarray) -> np.ndarray:
 
     Every count is in 1..N (entry i always counts itself); with all-distinct
     distances the counts are a permutation of 1..N, and the maximum count
-    lands on the minimum distance.  Computed in O(N log N) via sorting.
+    lands on the minimum distance.  Computed in O(N log N) via sorting: in
+    sorted order, an entry's count is N minus the index where its run of
+    equal values starts.
     """
-    arr = checked_array(d, 1, "distance vector")
-    order = np.sort(arr)
-    strictly_below = np.searchsorted(order, arr, side="left")
-    return (arr.shape[0] - strictly_below).astype(np.int64)
+    arr = _distance_rows(d)
+    n = arr.shape[-1]
+    # Each row's sort order, as positions in the flattened block.
+    flat = np.argsort(arr, axis=-1) + np.arange(0, arr.size, n).reshape(-1, 1)
+    ranked = arr.reshape(-1)[flat]
+    run_start = np.zeros(flat.shape, dtype=np.int64)
+    run_start[:, 1:] = (ranked[:, 1:] != ranked[:, :-1]) * np.arange(1, n)
+    np.maximum.accumulate(run_start, axis=-1, out=run_start)
+    counts = np.empty(arr.shape, dtype=np.int64)
+    counts.reshape(-1)[flat] = n - run_start
+    return counts
 
 
 def gaussian_params(d: np.ndarray) -> GaussianParams:
     """Fit the background (non-match) distance model: mean and population variance.
 
-    Bit-identical to ``arr.mean()`` and ``arr.var()``: the same ufunc reductions.
+    Bit-identical to ``arr.mean()`` and ``arr.var()`` of each vector: the
+    same ufunc reductions, row by row along the contiguous last axis.
     """
-    arr = checked_array(d, 1, "distance vector")
-    mu = np.add.reduce(arr) / arr.shape[0]
-    sigma2 = np.add.reduce(np.square(arr - mu)) / arr.shape[0]
-    return GaussianParams(mu=float(mu), sigma2=float(sigma2))
+    arr = _distance_rows(d)
+    n = arr.shape[-1]
+    mu = np.add.reduce(arr, axis=-1, keepdims=True) / n
+    sigma2 = np.add.reduce(np.square(arr - mu), axis=-1) / n
+    if arr.ndim == 1:
+        return GaussianParams(mu=float(mu[0]), sigma2=float(sigma2))
+    return GaussianParams(mu=mu[:, 0], sigma2=sigma2)
 
 
 def log_likelihood_ratio(d: np.ndarray) -> np.ndarray:
-    """Per-place log likelihood ratio of one distance vector.
+    """Per-place log likelihood ratio of one distance vector, or of each row.
 
     Entry i is log(counts[i]) minus the Gaussian log-density of d[i] under
-    the background model.  Raises DegenerateReferenceError when the vector
-    has (numerically) zero variance: such a set offers no contrast between
-    places and the ratio would be unbounded.
+    the background model.  A vector with (numerically) zero variance offers
+    no contrast between places and its ratio would be unbounded: alone it
+    raises DegenerateReferenceError, and in a block its row comes back as
+    NaN.  Every other row is free of NaN.
     """
-    counts = place_match_counts(d)
-    params = gaussian_params(d)
-    if params.sigma2 <= SIGMA2_MIN:
+    arr = _distance_rows(d)
+    rows = arr.reshape(-1, arr.shape[-1])
+    counts = place_match_counts(rows)
+    fit = gaussian_params(rows)
+    usable = fit.sigma2 > SIGMA2_MIN
+    if arr.ndim == 1 and not usable[0]:
         raise DegenerateReferenceError(
-            f"distance variance {params.sigma2:.3e} below {SIGMA2_MIN:.0e}"
+            f"distance variance {fit.sigma2[0]:.3e} below {SIGMA2_MIN:.0e}"
         )
-    resid = np.asarray(d, dtype=np.float64) - params.mu
-    log_pdf = -0.5 * (_LOG_2PI + math.log(params.sigma2)) - resid * resid / (
-        2.0 * params.sigma2
-    )
-    return np.log(counts) - log_pdf
+    sigma2 = fit.sigma2[usable, None]
+    # Each row's normalizer from its Python float, as for a vector alone.
+    norm = [-0.5 * (_LOG_2PI + math.log(s)) for s in sigma2[:, 0].tolist()]
+    resid = rows[usable] - fit.mu[usable, None]
+    log_pdf = np.array(norm)[:, None] - resid * resid / (2.0 * sigma2)
+    ratio = np.full(rows.shape, np.nan)
+    ratio[usable] = np.log(counts[usable]) - log_pdf
+    return ratio.reshape(arr.shape)

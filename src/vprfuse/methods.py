@@ -28,8 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from .distance import DistanceStack
-from .errors import NoInformationError, ValidationError
-from .fusion import posterior, uniform_prior
+from .errors import ValidationError
+# ``posterior`` is not called here; perfbench/spans.py traces it under this name.
+from .fusion import _normalize_log_scores, fused_log_scores, posterior, uniform_prior  # noqa: F401
 from .selection import (
     DEFAULT_GAMMA,
     SelectionResult,
@@ -65,16 +66,43 @@ class Method:
             return select_all(stack)
         return select_single(stack, self.rule)
 
-    def fuse(self, stack: DistanceStack, selection: SelectionResult) -> np.ndarray:
-        """Score row for an already-computed selection."""
+    def fuse_rows(
+        self, values: np.ndarray, selections: Sequence[SelectionResult]
+    ) -> np.ndarray:
+        """Score rows of a block of queries, one row per query.
+
+        ``values`` stacks the queries' (sets, places) distances and
+        ``selections`` holds each query's selection.  Every row is
+        bit-identical to the query scored alone.
+        """
+        if len(selections) != values.shape[0] or any(
+            selection.minima.shape[0] != values.shape[1] for selection in selections
+        ):
+            raise ValidationError(
+                f"need one selection over {values.shape[1]} sets per query, "
+                f"for {values.shape[0]} queries"
+            )
+        selected = np.zeros(values.shape[:2], dtype=bool)
+        selected[
+            [q for q, selection in enumerate(selections) for _ in selection.selected],
+            [u for selection in selections for u in selection.selected],
+        ] = True
         if self.kind == BELIEF:
-            try:
-                return posterior(stack, selection, uniform_prior(stack.n_places)).normalized
-            except NoInformationError:
-                # No usable likelihood: the posterior falls back to the prior.
-                return uniform_prior(stack.n_places)
-        means = stack.values[list(selection.selected)].mean(axis=0)
-        return -means
+            prior = uniform_prior(values.shape[2])
+            log_scores, used = fused_log_scores(values, selected, np.log(prior))
+            rows = _normalize_log_scores(log_scores)
+            # No usable likelihood: the posterior falls back to the prior.
+            rows[~used.any(axis=1)] = prior
+            return rows
+        # Selected sets are summed from 0.0 in ascending order, as ``mean`` sums them.
+        total = np.zeros((values.shape[0], values.shape[2]))
+        for u in range(values.shape[1]):
+            total[selected[:, u]] += values[selected[:, u], u]
+        return -(total / selected.sum(axis=1)[:, None])
+
+    def fuse(self, stack: DistanceStack, selection: SelectionResult) -> np.ndarray:
+        """Score row for an already-computed selection: ``fuse_rows`` of one query."""
+        return self.fuse_rows(stack.values[None], [selection])[0]
 
     def score_row(self, stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
         return self.fuse(stack, self.select(stack, gamma))

@@ -246,3 +246,24 @@ class TestBenchQuery:
         ds = generate_synthetic(seed=1, n_places=5, n_conditions=1, dim=4)
         with pytest.raises(ValidationError):
             bench_query(ds, repetitions=0)
+
+
+class TestBlockScoring:
+    @pytest.mark.parametrize("seq_len", [1, 3])
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch, seq_len):
+        ds = generate_synthetic(seed=7, n_places=30, n_conditions=3, dim=6, condition_scale=0.15)
+        per_query = 8 * ds.n_refs * ds.n_places
+        results = {}
+        # Blocks of 1, 2, 7 (30 = 4 x 7 + 2, a remainder) and all 30 queries.
+        for queries in (1, 2, 7, 30):
+            monkeypatch.setattr("vprfuse.evaluation._BLOCK_BYTES", queries * per_query)
+            results[queries] = [
+                evaluate_method(ds, m, gamma=0.1, seq_len=seq_len)
+                for m in expand_methods("all", ds.labels)
+            ]
+        for queries in (2, 7, 30):
+            for got, want in zip(results[queries], results[1]):
+                np.testing.assert_array_equal(got.scores.scores, want.scores.scores)
+                assert got.records == want.records
+                np.testing.assert_array_equal(got.curve.thresholds, want.curve.thresholds)
+                assert got.curve.points == want.curve.points

@@ -5,16 +5,19 @@ import pytest
 
 from vprfuse import (
     DistanceStack,
+    SelectionResult,
     decide,
+    expand_methods,
     log_likelihood_ratio,
     posterior,
+    resolve_method,
     select_all,
     select_references,
     select_single,
     uniform_prior,
 )
 from vprfuse.errors import NoInformationError, ValidationError
-from vprfuse.fusion import Belief
+from vprfuse.fusion import Belief, _normalize_log_scores, fused_log_scores
 
 from oracles import posterior_linear_oracle
 
@@ -194,3 +197,60 @@ class TestBayesianFullFusion:
             stack.values, tuple(range(4)), uniform_prior(25)
         )
         np.testing.assert_allclose(full.normalized, want, rtol=0, atol=1e-9)
+
+
+class TestBlockFusion:
+    """Rows fused as a block are bit-identical to each query fused alone."""
+
+    @staticmethod
+    def block(rng):
+        values = rng.uniform(0.5, 2.0, size=(5, 3, 30))
+        values[1, 2] = 1.0  # query 1: set 2 degenerate, sets 0 and 1 usable
+        values[3, :2] = 0.75  # query 3: sets 0 and 1 degenerate
+        values[4, :, 5] = -0.0  # a signed zero must survive the distance sums
+        selected = np.array(
+            [[1, 1, 1], [1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool
+        )
+        return values, selected
+
+    def test_rows_equal_posterior_of_each_query(self, rng):
+        values, selected = self.block(rng)
+        prior = uniform_prior(30)
+        log_scores, used = fused_log_scores(values, selected, np.log(prior))
+        want = selected.copy()
+        want[1, 2] = want[3, 0] = want[3, 1] = False  # the degenerate selected sets
+        np.testing.assert_array_equal(used, want)
+        for q in range(5):
+            stack = DistanceStack(values[q])
+            sel = SelectionResult(
+                best=0, selected=tuple(np.flatnonzero(selected[q]).tolist()), minima=stack.minima()
+            )
+            if q == 3:
+                with pytest.raises(NoInformationError):
+                    posterior(stack, sel, prior)
+                continue
+            belief = posterior(stack, sel, prior)
+            np.testing.assert_array_equal(log_scores[q], belief.log_scores)
+            np.testing.assert_array_equal(_normalize_log_scores(log_scores)[q], belief.normalized)
+            assert belief.dropped == ((2,) if q == 1 else ())
+
+    def test_method_rows_equal_one_query_rows(self, rng):
+        values, _ = self.block(rng)
+        stacks = [DistanceStack(v) for v in values]
+        labels = ["a", "b", "c"]
+        for method in expand_methods("all", labels):
+            selections = [method.select(stack, 0.3) for stack in stacks]
+            rows = method.fuse_rows(values, selections)
+            for stack, selection, row in zip(stacks, selections, rows):
+                np.testing.assert_array_equal(row, method.fuse(stack, selection))
+                if method.kind == "distance":  # the per-query formula, bit for bit
+                    want = -stack.values[list(selection.selected)].mean(axis=0)
+                    assert row.tobytes() == want.tobytes()
+
+    def test_all_selected_sets_degenerate_gives_the_prior(self, rng):
+        values, _ = self.block(rng)
+        stacks = [DistanceStack(v) for v in values]
+        method = resolve_method("bayes-single:0", ["a", "b", "c"])
+        rows = method.fuse_rows(values, [method.select(s) for s in stacks])
+        np.testing.assert_array_equal(rows[3], uniform_prior(30))
+        assert not np.array_equal(rows[0], uniform_prior(30))

@@ -150,6 +150,21 @@ class TestDescriptorFile:
         with pytest.raises(ValidationError):
             write_descriptor_file(tmp_path / "d.vprd", [[1.0, 2.0], [3.0]])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[["1.5", "2"]], np.array([[object(), 1.0]], dtype=object), [[1 + 1j, 2.0]]],
+        ids=["string", "object", "complex"],
+    )
+    def test_write_accepts_only_real_numbers(self, tmp_path, bad):
+        path = tmp_path / "d.vprd"
+        with pytest.raises(ValidationError, match="descriptors must hold real numbers"):
+            write_descriptor_file(path, bad)
+        assert not path.exists()
+
+    def test_write_rejects_values_that_overflow_float32(self, tmp_path):
+        with pytest.raises(ValidationError, match="non-finite"):
+            write_descriptor_file(tmp_path / "d.vprd", [[1e300, 0.0]])
+
     @settings(max_examples=100, deadline=None)
     @given(
         hnp.arrays(
@@ -302,6 +317,16 @@ class TestManifest:
         for arr in (ds.queries, ds.ground_truth.true_place):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    def test_each_file_is_widened_and_checked_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = ingest._float64_rows
+        monkeypatch.setattr(
+            ingest, "_float64_rows", lambda shape, *a: calls.append(shape) or real(shape, *a)
+        )
+        ds = load_dataset(self._write_dataset(tmp_path))
+        assert calls == [(6, 4)] * 3  # the query file, then two reference files
+        assert not ds.queries.flags.writeable and ds.queries.dtype == np.float64
 
     def test_identity_ground_truth_default(self, tmp_path):
         mp = self._write_dataset(tmp_path, with_gt=False)
@@ -562,6 +587,9 @@ class TestSyntheticGenerator:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValidationError):
                 generate_synthetic(n_conditions=2, mixture=(1.0, bad))
+        for bad in ((1 + 1j, 1, 1), ("1", "1", "1")):
+            with pytest.raises(ValidationError, match="mixture weights must hold real numbers"):
+                generate_synthetic(mixture=bad)
         with pytest.raises(ValidationError):
             generate_synthetic(seed=-1)
 

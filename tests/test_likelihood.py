@@ -152,3 +152,65 @@ class TestLogLikelihoodRatio:
     def test_finite_for_positive_variance(self, rng):
         d = rng.uniform(0.1, 4.0, size=100)
         assert np.all(np.isfinite(log_likelihood_ratio(d)))
+
+
+def _tied_block(rng, rows, n):
+    """Rows over a small pool of values, so that ties are common."""
+    return rng.choice(np.round(rng.uniform(0.0, 3.0, size=max(1, n // 4)), 1), size=(rows, n))
+
+
+class TestBlocks:
+    """A (rows, N) block: every row is bit-identical to the row passed alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 500, 3001])
+    def test_rows_equal_one_row_calls(self, rng, n):
+        block = _tied_block(rng, 5, n)
+        block[1] = rng.uniform(0.5, 2.0, size=n)  # all distinct
+        counts = place_match_counts(block)
+        fit = gaussian_params(block)
+        assert counts.shape == block.shape and counts.dtype == np.int64
+        for r, row in enumerate(block):
+            np.testing.assert_array_equal(counts[r], place_match_counts(row))
+            alone = gaussian_params(row)
+            assert (fit.mu[r], fit.sigma2[r]) == (alone.mu, alone.sigma2)
+
+    @pytest.mark.parametrize("n", [500, 3000, 10000, 20000])
+    def test_gaussian_rows_match_numpy(self, rng, n):
+        block = rng.uniform(0.0, 1e3, size=(3, n))
+        fit = gaussian_params(block)
+        np.testing.assert_array_equal(fit.mu, [row.mean() for row in block])
+        np.testing.assert_array_equal(fit.sigma2, [row.var() for row in block])
+
+    def test_counts_match_quadratic_oracle(self, rng):
+        for n in (1, 2, 3, 17, 60):
+            block = _tied_block(rng, 8, n)
+            counts = place_match_counts(block)
+            for r, row in enumerate(block):
+                np.testing.assert_array_equal(counts[r], counts_oracle(row))
+
+    def test_ratio_rows_equal_one_row_calls(self, rng):
+        block = _tied_block(rng, 6, 40)
+        ratio = log_likelihood_ratio(block)
+        for r, row in enumerate(block):
+            np.testing.assert_array_equal(ratio[r], log_likelihood_ratio(row))
+
+    def test_degenerate_row_is_nan_among_normal_rows(self, rng):
+        block = rng.uniform(0.5, 2.0, size=(4, 30))
+        block[2] = 1.25
+        ratio = log_likelihood_ratio(block)
+        assert np.isnan(ratio[2]).all()
+        for r in (0, 1, 3):
+            np.testing.assert_array_equal(ratio[r], log_likelihood_ratio(block[r]))
+        with pytest.raises(DegenerateReferenceError):
+            log_likelihood_ratio(block[2])
+
+    def test_single_place_rows_are_degenerate(self):
+        block = np.array([[0.5], [2.0]])
+        np.testing.assert_array_equal(place_match_counts(block), [[1], [1]])
+        assert np.isnan(log_likelihood_ratio(block)).all()
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 2, 2)), np.empty((0, 3)), [[1.0, np.nan]]])
+    def test_bad_blocks_rejected(self, bad):
+        for fn in (place_match_counts, gaussian_params, log_likelihood_ratio):
+            with pytest.raises(ValidationError):
+                fn(bad)

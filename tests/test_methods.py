@@ -127,3 +127,9 @@ class TestRowConsistency:
         stack = DistanceStack(np.ones((2, 6)))
         row = resolve_method("bayes-full", ["a", "b"]).score_row(stack)
         np.testing.assert_array_equal(row, uniform_prior(6))
+
+    def test_selection_from_another_stack_rejected(self, rng):
+        stack, other = random_stack(rng), random_stack(rng, n_refs=2)
+        for name in ("bayes-full", "baseline-fusion"):
+            with pytest.raises(ValidationError, match="one selection over 3 sets"):
+                resolve_method(name, LABELS).fuse(stack, select_single(other, 1))

@@ -88,12 +88,10 @@ class Method:
             [u for selection in selections for u in selection.selected],
         ] = True
         if self.kind == BELIEF:
-            prior = uniform_prior(values.shape[2])
-            log_scores, used = fused_log_scores(values, selected, np.log(prior))
-            rows = _normalize_log_scores(log_scores)
-            # No usable likelihood: the posterior falls back to the prior.
-            rows[~used.any(axis=1)] = prior
-            return rows
+            log_prior = np.log(uniform_prior(values.shape[2]))
+            # A query whose selected sets are all degenerate keeps the log
+            # prior, a constant row whose softmax is exactly the uniform prior.
+            return _normalize_log_scores(fused_log_scores(values, selected, log_prior)[0])
         # Selected sets are summed from 0.0 in ascending order, as ``mean`` sums them.
         total = np.zeros((values.shape[0], values.shape[2]))
         for u in range(values.shape[1]):

@@ -247,10 +247,11 @@ class TestBlockFusion:
                     want = -stack.values[list(selection.selected)].mean(axis=0)
                     assert row.tobytes() == want.tobytes()
 
-    def test_all_selected_sets_degenerate_gives_the_prior(self, rng):
-        values, _ = self.block(rng)
-        stacks = [DistanceStack(v) for v in values]
-        method = resolve_method("bayes-single:0", ["a", "b", "c"])
-        rows = method.fuse_rows(values, [method.select(s) for s in stacks])
-        np.testing.assert_array_equal(rows[3], uniform_prior(30))
-        assert not np.array_equal(rows[0], uniform_prior(30))
+    @pytest.mark.parametrize("n", [2, 30, 3001])
+    def test_all_selected_sets_degenerate_gives_the_prior(self, rng, n):
+        values = rng.uniform(0.5, 2.0, size=(3, 2, n))
+        values[1, 0] = 0.75  # query 1: its one selected set is degenerate
+        method = resolve_method("bayes-single:0", ["a", "b"])
+        rows = method.fuse_rows(values, [method.select(DistanceStack(v)) for v in values])
+        np.testing.assert_array_equal(rows[1], uniform_prior(n))
+        assert not np.array_equal(rows[0], uniform_prior(n))

@@ -101,11 +101,11 @@ def log_likelihood_ratio(d: np.ndarray) -> np.ndarray:
         raise DegenerateReferenceError(
             f"distance variance {fit.sigma2[0]:.3e} below {SIGMA2_MIN:.0e}"
         )
-    sigma2 = fit.sigma2[usable, None]
+    sigma2 = fit.sigma2[usable]
     # Each row's normalizer from its Python float, as for a vector alone.
-    norm = [-0.5 * (_LOG_2PI + math.log(s)) for s in sigma2[:, 0].tolist()]
+    norm = np.array([-0.5 * (_LOG_2PI + math.log(s)) for s in sigma2.tolist()])
     resid = rows[usable] - fit.mu[usable, None]
-    log_pdf = np.array(norm)[:, None] - resid * resid / (2.0 * sigma2)
+    log_pdf = norm[:, None] - resid * resid / (2.0 * sigma2[:, None])
     ratio = np.full(rows.shape, np.nan)
     ratio[usable] = np.log(counts[usable]) - log_pdf
     return ratio.reshape(arr.shape)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, checked_array
-from .ingest import ReferenceSet
+from .ingest import ReferenceSet, _assembled
 
 # Squared distances below this fraction of their term magnitudes are
 # recomputed with the exact difference form (cancellation guard).
@@ -63,20 +63,25 @@ def _distances(q: np.ndarray, refs: list[ReferenceSet]) -> np.ndarray:
             )
         if ref.dim != q.shape[0]:
             raise ValidationError(f"dimension mismatch: query {q.shape[0]}, reference {ref.dim}")
-    dots = np.empty((len(refs), n))
+    d2 = np.empty((len(refs), n))
     row_sq_norms = np.empty((len(refs), n))
     for u, ref in enumerate(refs):
-        np.matmul(ref.descriptors, q, out=dots[u])
+        np.matmul(ref.descriptors, q, out=d2[u])
         row_sq_norms[u] = ref.sq_norms
     q_sq = float(q @ q)
-    d2 = row_sq_norms - 2.0 * dots
+    d2 *= -2.0
+    d2 += row_sq_norms
     d2 += q_sq
     np.maximum(d2, 0.0, out=d2)
     suspect = d2 <= _RECHECK_REL * (row_sq_norms + q_sq)
     for u in np.flatnonzero(suspect.any(axis=1)):
         diff = refs[u].descriptors[suspect[u]] - q
         d2[u, suspect[u]] = np.einsum("ij,ij->i", diff, diff)
-    return np.sqrt(d2, out=d2)
+    np.sqrt(d2, out=d2)
+    # Finite inputs can still overflow the expanded form (entries near 1e200).
+    if not np.isfinite(d2).all():
+        raise ValidationError("distance stack contains non-finite values")
+    return d2
 
 
 def distance_vector(query: np.ndarray, ref: ReferenceSet | np.ndarray) -> np.ndarray:
@@ -99,4 +104,4 @@ def distance_stack(query: np.ndarray, refs: list[ReferenceSet]) -> DistanceStack
     """
     if not refs:
         raise ValidationError("need at least one reference set")
-    return DistanceStack(_distances(checked_array(query, 1, "query"), refs))
+    return _assembled(DistanceStack, values=_distances(checked_array(query, 1, "query"), refs))

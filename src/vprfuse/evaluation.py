@@ -15,7 +15,7 @@ agreement with externally reported values is not guaranteed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import median
 from typing import Sequence
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .distance import distance_stack
 from .errors import ValidationError
-from .ingest import Dataset
+from .ingest import Dataset, ReferenceSet
 from .methods import Method, resolve_method
 from .selection import DEFAULT_GAMMA
 from .sequence import ScoreMatrix, _check_window, sequence_aggregate
@@ -108,6 +108,19 @@ def pr_curve(records: Sequence[EvalRecord]) -> PRCurve:
     return PRCurve(thresholds=conf[cutoffs], points=points)
 
 
+def _narrowed(method: Method, refs: list[ReferenceSet]) -> tuple[Method, list[ReferenceSet]]:
+    """The reference sets a method reads, and the method restated over them.
+
+    A single-set method reads only its own set, as set 0 of a one-set stack;
+    every other method reads every set.  The narrowed method's rows are
+    bit-identical, because a set's distance row does not depend on which
+    other sets share the stack.
+    """
+    if isinstance(method.rule, int) and 0 <= method.rule < len(refs):
+        return replace(method, rule=0), [refs[method.rule]]
+    return method, refs
+
+
 @dataclass
 class MethodEvaluation:
     method: str
@@ -127,25 +140,29 @@ def evaluate_method(
 
     Queries are scored a block at a time: each query's distance stack and
     selection are computed one by one, then ``Method.fuse_rows`` scores the
-    whole block with one likelihood pass per reference set.  Rows do not
-    depend on the block size.  ``seq_len`` > 1 aggregates the score matrix
-    over trailing windows before deciding; a window that
-    ``sequence_aggregate`` would reject raises ValidationError before any
-    query is scored.  A row without contrast (every place scored alike, e.g.
-    the uniform prior when every selected set is degenerate) carries no
-    information, so with more than one place that query abstains.
+    whole block with one likelihood pass per reference set.  A single-set
+    method's stacks cover its own set only.  Rows do not depend on the block
+    size.  ``seq_len`` > 1 aggregates the score matrix over trailing windows
+    before deciding; a window that ``sequence_aggregate`` would reject
+    raises ValidationError before any query is scored.  A row without
+    contrast (every place scored alike, e.g. the uniform prior when every
+    selected set is degenerate) carries no information, so with more than
+    one place that query abstains.
     """
     if isinstance(method, str):
         method = resolve_method(method, [r.label for r in dataset.refs])
     queries = dataset.queries
     if seq_len != 1:
         _check_window(seq_len, queries.shape[0], seq_velocity)
+    scorer, refs = _narrowed(method, dataset.refs)
+    # Sized by every set, also when narrowed: larger blocks of one-set stacks
+    # raise peak memory with their likelihood temporaries.
     step = max(1, _BLOCK_BYTES // (8 * dataset.n_refs * dataset.n_places))
     rows = np.empty((queries.shape[0], dataset.n_places))
     for start in range(0, queries.shape[0], step):
-        stacks = [distance_stack(q, dataset.refs) for q in queries[start : start + step]]
-        selections = [method.select(stack, gamma) for stack in stacks]
-        rows[start : start + step] = method.fuse_rows(
+        stacks = [distance_stack(q, refs) for q in queries[start : start + step]]
+        selections = [scorer.select(stack, gamma) for stack in stacks]
+        rows[start : start + step] = scorer.fuse_rows(
             np.stack([stack.values for stack in stacks]), selections
         )
     matrix = ScoreMatrix(rows, method=method.name)
@@ -194,25 +211,27 @@ def bench_query(
     """Wall-clock per-query cost, split into distance / selection / fusion.
 
     One warm-up query runs first; I/O is excluded.  Queries run one at a
-    time, each scored by ``Method.fuse``.
+    time, each scored by ``Method.fuse``.  As in ``evaluate_method``, a
+    single-set method's distance phase covers its own set only.
     """
     if repetitions < 1 or n_queries < 1:
         raise ValidationError("repetitions and n_queries must be >= 1")
     if isinstance(method, str):
         method = resolve_method(method, [r.label for r in dataset.refs])
     queries = dataset.queries[: min(n_queries, dataset.queries.shape[0])]
+    scorer, refs = _narrowed(method, dataset.refs)
 
-    method.score_row(distance_stack(queries[0], dataset.refs), gamma)
+    scorer.score_row(distance_stack(queries[0], refs), gamma)
 
     samples: dict[str, list[float]] = {k: [] for k in TimingReport.PHASE_ORDER}
     for _ in range(repetitions):
         for q in queries:
             t0 = time.perf_counter()
-            stack = distance_stack(q, dataset.refs)
+            stack = distance_stack(q, refs)
             t1 = time.perf_counter()
-            selection = method.select(stack, gamma)
+            selection = scorer.select(stack, gamma)
             t2 = time.perf_counter()
-            method.fuse(stack, selection)
+            scorer.fuse(stack, selection)
             t3 = time.perf_counter()
             samples["distance"].append(t1 - t0)
             samples["selection"].append(t2 - t1)

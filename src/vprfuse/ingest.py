@@ -465,9 +465,9 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
 
 
 def _assembled(cls, **fields):
-    """A ``cls`` from fields that a load has already built and checked.
+    """A ``cls`` from fields that a load or kernel has already built and checked.
 
-    Skips ``__init__``, whose checks and float64 copy would repeat the load's.
+    Skips ``__init__``, whose checks and float64 copy would repeat the caller's.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)

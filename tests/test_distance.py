@@ -164,6 +164,14 @@ class TestDistanceStack:
         with pytest.raises(ValidationError):
             distance_stack(np.zeros(3), refs)
 
+    def test_overflowing_squares_rejected(self):
+        # Finite inputs whose squared distances overflow float64; numpy's
+        # overflow warnings are silenced so the kernel's own check is reached.
+        ref = ReferenceSet("a", np.full((3, 4), 1e200))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="distance stack contains non-finite"):
+                distance_stack(np.full(4, -1e200), [ref])
+
     def test_stack_validation(self):
         with pytest.raises(ValidationError):
             DistanceStack(np.array([[1.0, -0.5]]))

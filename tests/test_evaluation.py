@@ -7,14 +7,18 @@ from vprfuse import (
     Dataset,
     EvalRecord,
     GroundTruth,
+    Method,
     PRCurve,
     ReferenceSet,
+    ScoreMatrix,
     bench_query,
+    distance_stack,
     evaluate_method,
     expand_methods,
     generate_synthetic,
     match_correct,
     pr_curve,
+    sequence_aggregate,
 )
 from vprfuse.errors import ValidationError
 
@@ -267,3 +271,70 @@ class TestBlockScoring:
                 assert got.records == want.records
                 np.testing.assert_array_equal(got.curve.thresholds, want.curve.thresholds)
                 assert got.curve.points == want.curve.points
+
+
+def _stack_spy(monkeypatch):
+    """Record the number of sets in every stack that evaluation builds."""
+    sets = []
+
+    def spy(query, refs):
+        sets.append(len(refs))
+        return distance_stack(query, refs)
+
+    monkeypatch.setattr("vprfuse.evaluation.distance_stack", spy)
+    return sets
+
+
+class TestNarrowing:
+    @pytest.fixture
+    def ds(self):
+        # 37 places leave a GEMV tail that is not a multiple of 4.  Query 5
+        # equals a stored descriptor, so its stacks take the cancellation
+        # re-check.
+        synth = generate_synthetic(
+            seed=11, n_places=37, n_conditions=3, dim=6, condition_scale=0.15
+        )
+        queries = synth.queries.copy()
+        queries[5] = synth.refs[1].descriptors[5]
+        return Dataset(synth.refs, queries, synth.ground_truth)
+
+    @pytest.mark.parametrize("seq_len", [1, 3])
+    def test_single_set_rows_equal_full_stack_rows(self, ds, seq_len):
+        singles = [m for m in expand_methods("all", ds.labels) if isinstance(m.rule, int)]
+        assert len(singles) == 6
+        for method in singles:
+            want = ScoreMatrix(
+                np.stack([method.score_row(distance_stack(q, ds.refs)) for q in ds.queries]),
+                method=method.name,
+            )
+            if seq_len != 1:
+                want = sequence_aggregate(want, seq_len, 1.0)
+            got = evaluate_method(ds, method, seq_len=seq_len)
+            assert got.method == method.name
+            np.testing.assert_array_equal(got.scores.scores, want.scores)
+
+    def test_single_set_methods_stack_their_own_set(self, ds, monkeypatch):
+        sets = _stack_spy(monkeypatch)
+        n = ds.queries.shape[0]
+        for method in expand_methods("all", ds.labels):
+            before = len(sets)
+            evaluate_method(ds, method)
+            want = 1 if isinstance(method.rule, int) else 3
+            assert sets[before:] == [want] * n, method.name
+        assert len(sets) == 10 * n
+
+    def test_bench_query_narrows(self, ds, monkeypatch):
+        sets = _stack_spy(monkeypatch)
+        bench_query(ds, "min-value:2", repetitions=2, n_queries=3)
+        assert sets == [1] * 7  # the warm-up query, then 2 x 3
+        sets.clear()
+        bench_query(ds, "bayes-selective", repetitions=1, n_queries=3)
+        assert sets == [3] * 4
+
+    @pytest.mark.parametrize("rule", [-1, 3])
+    def test_out_of_range_set_rejected(self, ds, rule):
+        method = Method(name="min-value:x", kind="distance", rule=rule)
+        with pytest.raises(ValidationError, match="out of range"):
+            evaluate_method(ds, method)
+        with pytest.raises(ValidationError, match="out of range"):
+            bench_query(ds, method, repetitions=1, n_queries=1)

@@ -116,6 +116,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else:
             _emit(lines, args.out / pr_file)
         summary.append(f"{method.name},{_fmt(result.curve.auc)},{len(result.records)}")
+        del result  # frees this method's score matrix before the next is scored
     _emit(summary, None if args.out is None else args.out / "summary.csv")
     if args.out is not None:
         for line in summary:

@@ -73,10 +73,13 @@ def _distances(q: np.ndarray, refs: list[ReferenceSet]) -> np.ndarray:
     d2 += row_sq_norms
     d2 += q_sq
     np.maximum(d2, 0.0, out=d2)
-    suspect = d2 <= _RECHECK_REL * (row_sq_norms + q_sq)
-    for u in np.flatnonzero(suspect.any(axis=1)):
-        diff = refs[u].descriptors[suspect[u]] - q
-        d2[u, suspect[u]] = np.einsum("ij,ij->i", diff, diff)
+    row_sq_norms += q_sq  # the bound, formed in place over this call's copy
+    row_sq_norms *= _RECHECK_REL
+    suspect = d2 <= row_sq_norms
+    if suspect.any():
+        for u in np.flatnonzero(suspect.any(axis=1)):
+            diff = refs[u].descriptors[suspect[u]] - q
+            d2[u, suspect[u]] = np.einsum("ij,ij->i", diff, diff)
     np.sqrt(d2, out=d2)
     # Finite inputs can still overflow the expanded form (entries near 1e200).
     if not np.isfinite(d2).all():

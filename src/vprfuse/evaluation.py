@@ -138,16 +138,18 @@ def evaluate_method(
 ) -> MethodEvaluation:
     """Run one method over every query and build its precision-recall curve.
 
-    Queries are scored a block at a time: each query's distance stack and
-    selection are computed one by one, then ``Method.fuse_rows`` scores the
-    whole block with one likelihood pass per reference set.  A single-set
-    method's stacks cover its own set only.  Rows do not depend on the block
-    size.  ``seq_len`` > 1 aggregates the score matrix over trailing windows
-    before deciding; a window that ``sequence_aggregate`` would reject
-    raises ValidationError before any query is scored.  A row without
-    contrast (every place scored alike, e.g. the uniform prior when every
-    selected set is degenerate) carries no information, so with more than
-    one place that query abstains.
+    Queries are scored a block at a time: each query's distance stack goes
+    into one preallocated block and its selection is computed, then
+    ``Method.fuse_rows`` scores the whole block with one likelihood pass per
+    reference set.  A single-set method's stacks cover its own set only.
+    Rows do not depend on the block size.  ``seq_len`` > 1 aggregates the
+    score matrix over trailing windows (one more matrix) before deciding; a
+    window that ``sequence_aggregate`` would reject raises ValidationError
+    before any query is scored.  Records are decided in one array pass: each
+    row's first argmax and its score there.  A row without contrast (every
+    place scored alike, e.g. the uniform prior when every selected set is
+    degenerate) carries no information, so with more than one place that
+    query abstains.
     """
     if isinstance(method, str):
         method = resolve_method(method, [r.label for r in dataset.refs])
@@ -158,26 +160,29 @@ def evaluate_method(
     # Sized by every set, also when narrowed: larger blocks of one-set stacks
     # raise peak memory with their likelihood temporaries.
     step = max(1, _BLOCK_BYTES // (8 * dataset.n_refs * dataset.n_places))
+    block = np.empty((min(step, queries.shape[0]), len(refs), dataset.n_places))
     rows = np.empty((queries.shape[0], dataset.n_places))
     for start in range(0, queries.shape[0], step):
-        stacks = [distance_stack(q, refs) for q in queries[start : start + step]]
-        selections = [scorer.select(stack, gamma) for stack in stacks]
-        rows[start : start + step] = scorer.fuse_rows(
-            np.stack([stack.values for stack in stacks]), selections
-        )
+        selections = []
+        for j, q in enumerate(queries[start : start + step]):
+            stack = distance_stack(q, refs)
+            block[j] = stack.values
+            selections.append(scorer.select(stack, gamma))
+        rows[start : start + step] = scorer.fuse_rows(block[: len(selections)], selections)
     matrix = ScoreMatrix(rows, method=method.name)
     if seq_len != 1:
         matrix = sequence_aggregate(matrix, seq_len, seq_velocity)
+    places = matrix.scores.argmax(axis=1)
+    confidences = np.take_along_axis(matrix.scores, places[:, None], axis=1)[:, 0]
+    decided = (confidences != matrix.scores.min(axis=1)) | (dataset.n_places == 1)
     truth = dataset.ground_truth
-    records = []
-    for t, row in enumerate(matrix.scores):
-        place = int(np.argmax(row))
-        confidence = float(row[place])
-        if row.shape[0] > 1 and confidence == row.min():
-            records.append(EvalRecord(t, None, confidence, None))
-        else:
-            correct = match_correct(place, truth.true_place[t], truth.tolerance)
-            records.append(EvalRecord(t, place, confidence, correct))
+    correct = np.abs(places - truth.true_place) <= truth.tolerance
+    records = [
+        EvalRecord(t, place, confidence, ok) if issued else EvalRecord(t, None, confidence, None)
+        for t, (place, confidence, issued, ok) in enumerate(
+            zip(places.tolist(), confidences.tolist(), decided.tolist(), correct.tolist())
+        )
+    ]
     return MethodEvaluation(
         method=method.name,
         records=records,

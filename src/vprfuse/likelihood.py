@@ -101,11 +101,12 @@ def log_likelihood_ratio(d: np.ndarray) -> np.ndarray:
         raise DegenerateReferenceError(
             f"distance variance {fit.sigma2[0]:.3e} below {SIGMA2_MIN:.0e}"
         )
-    sigma2 = fit.sigma2[usable]
+    # Degenerate rows are computed with variance 1, then overwritten by NaN.
+    sigma2 = np.where(usable, fit.sigma2, 1.0)
     # Each row's normalizer from its Python float, as for a vector alone.
     norm = np.array([-0.5 * (_LOG_2PI + math.log(s)) for s in sigma2.tolist()])
-    resid = rows[usable] - fit.mu[usable, None]
+    resid = rows - fit.mu[:, None]
     log_pdf = norm[:, None] - resid * resid / (2.0 * sigma2[:, None])
-    ratio = np.full(rows.shape, np.nan)
-    ratio[usable] = np.log(counts[usable]) - log_pdf
+    ratio = np.log(counts) - log_pdf
+    ratio[~usable] = np.nan
     return ratio.reshape(arr.shape)

@@ -48,20 +48,25 @@ def sequence_aggregate(
     """Average scores along trailing diagonal windows of the given length.
 
     ``length`` 1 returns the scores unchanged.  Place shifts are rounded to
-    the nearest index (numpy rounding, ties to even).
+    the nearest index (numpy rounding, ties to even).  Each cell sums its
+    terms in k order from +0.0, then is divided in place by their count.
     """
     _check_window(length, matrix.n_queries, velocity)
     scores = matrix.scores
     n_t, n_p = scores.shape
     acc = np.zeros_like(scores)
-    count = np.zeros_like(scores)
+    shifts = []
     for k in range(length):
         shift = np.rint(velocity * k)
         if shift >= n_p:
             break  # shifts only grow with k; compared as a float, so inf is safe
-        shift = int(shift)
-        acc[k:, shift:] += scores[: n_t - k, : n_p - shift]
-        count[k:, shift:] += 1.0
-    # The k = 0 term always contributes, so count >= 1 everywhere.
-    return ScoreMatrix(acc / count, method=matrix.method)
+        shifts.append(int(shift))
+        acc[k:, shifts[k] :] += scores[: n_t - k, : n_p - shifts[k]]
+    # Shifts never decrease, so cell (t, i) summed min(t + 1, terms[i]) terms,
+    # and terms[i] >= 1 because shift 0 always contributes.
+    terms = np.searchsorted(shifts, np.arange(n_p), side="right")
+    full = len(shifts) - 1
+    acc[full:] /= terms
+    acc[:full] /= np.minimum(np.arange(1, full + 1)[:, None], terms)
+    return ScoreMatrix(acc, method=matrix.method)
 

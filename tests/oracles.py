@@ -61,6 +61,47 @@ def posterior_linear_oracle(
     return post / post.sum()
 
 
+def window_mean_oracle(scores: np.ndarray, length: int, velocity: float) -> np.ndarray:
+    """Literal trailing-window mean, one cell at a time.
+
+    Cell (t, i) sums, in k order from 0.0, the terms scores[t - k, i - shift]
+    for k = 0..length-1 whose indices are in range, where shift is
+    velocity * k rounded half to even; then it divides by their number.
+    """
+    n_t, n_p = scores.shape
+    out = np.empty((n_t, n_p))
+    for t in range(n_t):
+        for i in range(n_p):
+            total, terms = 0.0, 0
+            for k in range(length):
+                shift = velocity * k
+                if k <= t and not math.isinf(shift) and round(shift) <= i:
+                    total += float(scores[t - k, i - round(shift)])
+                    terms += 1
+            out[t, i] = total / terms
+    return out
+
+
+def records_oracle(scores: np.ndarray, true_place, tolerance: int) -> list[tuple]:
+    """Literal per-row decisions: (place, confidence, correct) for each query.
+
+    The place is the first place holding the row maximum.  A row with more
+    than one place whose entries all equal its maximum abstains, giving
+    (None, maximum, None).
+    """
+    out = []
+    for t, row in enumerate(scores.tolist()):
+        best = 0
+        for i, value in enumerate(row):
+            if value > row[best]:
+                best = i
+        if len(row) > 1 and all(value == row[best] for value in row):
+            out.append((None, row[best], None))
+        else:
+            out.append((best, row[best], abs(best - int(true_place[t])) <= tolerance))
+    return out
+
+
 def pr_sweep_oracle(records) -> list[tuple[float, float, float]]:
     """Literal per-threshold sweep: (threshold, recall, precision) triples.
 

@@ -1,5 +1,7 @@
 """End-to-end CLI runs: synth, eval, match and bench."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,28 @@ class TestEval:
         overflow = run(capsys, *base, "--seq-len", "3", "--seq-velocity", "1e308")
         assert single[0] == 0
         assert overflow == single
+
+    @pytest.mark.parametrize("seq_len, bound", [(1, 1.5), (5, 2.5)])
+    def test_peak_memory_in_score_matrices(self, capsys, tmp_path, seq_len, bound):
+        """One method's score matrix is alive at a time, plus its window means.
+
+        At 1000 queries x 1000 places one float64 matrix is 8 MB, far above
+        the dataset and the block temporaries.
+        """
+        manifest = synth(
+            capsys, tmp_path / "data", "--places", "1000", "--conditions", "1", "--dim", "4"
+        )
+        tracemalloc.start()
+        try:
+            code, _, err = run(
+                capsys, "eval", "--manifest", str(manifest), "--method", "all",
+                "--seq-len", str(seq_len), "--out", str(tmp_path / "results"),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak / (8 * 1000 * 1000) <= bound
 
     def test_jobs_flag_is_gone(self, capsys, tmp_path):
         manifest = synth(capsys, tmp_path / "data")

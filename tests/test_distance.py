@@ -148,6 +148,19 @@ class TestDistanceStack:
             )
         assert stack.values[1, 5] == stack.values[2, 30] == 0.0
 
+    def test_only_the_matching_set_is_rechecked(self, rng):
+        # Only the last set holds the query, so the re-check runs on that
+        # set alone and gives its exact zero; the other rows stay as alone.
+        # At 64-d the expanded form leaves a positive residue there.
+        descs = [100.0 + rng.standard_normal((37, 64)) for _ in range(3)]
+        q = descs[2][11].copy()
+        refs = [ReferenceSet(f"r{u}", d) for u, d in enumerate(descs)]
+        stack = distance_stack(q, refs)
+        assert stack.values[2, 11] == 0.0
+        assert (np.delete(stack.values, 11 + 2 * 37) > 0.0).all()
+        for u, ref in enumerate(refs):
+            np.testing.assert_array_equal(stack.values[u], distance_stack(q, [ref]).values[0])
+
     def test_dimension_mismatch_in_a_later_set_rejected(self, rng):
         refs = [
             ReferenceSet("a", rng.standard_normal((4, 3))),

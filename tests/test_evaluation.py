@@ -22,7 +22,7 @@ from vprfuse import (
 )
 from vprfuse.errors import ValidationError
 
-from oracles import auc_dense_oracle, pr_sweep_oracle
+from oracles import auc_dense_oracle, pr_sweep_oracle, records_oracle
 
 
 def record(q, place, conf, correct):
@@ -229,6 +229,54 @@ class TestEvaluateMethod:
         result = evaluate_method(ds, "min-value:0")
         assert all(r.correct for r in result.records)  # everything within band
         assert result.curve.auc == 1.0
+
+
+class TestRecordPass:
+    """Records are decided in one array pass; a per-row loop is the reference."""
+
+    def _records(self, monkeypatch, rng, scores, tolerance=0):
+        """evaluate_method's records when every query's score row is given."""
+        n_q, n_p = scores.shape
+        truth = GroundTruth(rng.integers(0, n_p, size=n_q), tolerance)
+        ds = Dataset(
+            [ReferenceSet("a", rng.standard_normal((n_p, 3)))],
+            rng.standard_normal((n_q, 3)),
+            truth,
+        )
+        monkeypatch.setattr(Method, "fuse_rows", lambda self, values, selections: scores)
+        monkeypatch.setattr("vprfuse.evaluation._BLOCK_BYTES", 8 * n_q * n_p)  # one block
+        records = evaluate_method(ds, "bayes-full").records
+        assert [r.query for r in records] == list(range(n_q))
+        got = [(r.place, r.confidence, r.correct) for r in records]
+        assert got == records_oracle(scores, truth.true_place, tolerance)
+        return records, truth
+
+    def test_ties_go_to_the_lowest_place_and_constant_rows_abstain(self, monkeypatch, rng):
+        scores = np.array(
+            [
+                [0.1, 0.7, 0.2, 0.7, 0.7],
+                [-0.0, 0.0, -1.0, 0.0, -0.0],
+                [0.3, 0.3, 0.3, 0.3, 0.3],
+                [-0.0, -0.0, 0.0, -0.0, 0.0],
+                [2.0, 1.0, 0.0, -1.0, 2.0],
+            ]
+        )
+        records, _ = self._records(monkeypatch, rng, scores)
+        assert [r.place for r in records] == [1, 0, None, None, 0]
+        assert np.signbit(records[1].confidence)  # the score at the argmax, -0.0
+        assert records[2].confidence == 0.3 and records[2].correct is None
+
+    def test_a_single_place_never_abstains(self, monkeypatch, rng):
+        records, _ = self._records(monkeypatch, rng, np.array([[0.5], [-2.0], [0.0]]))
+        assert [(r.place, r.correct) for r in records] == [(0, True)] * 3
+
+    @pytest.mark.parametrize("tolerance", [0, 1, 3, 29])
+    def test_correct_within_the_tolerance_band(self, monkeypatch, rng, tolerance):
+        scores = rng.standard_normal((60, 30))
+        records, truth = self._records(monkeypatch, rng, scores, tolerance)
+        for r in records:
+            want = match_correct(r.place, truth.true_place[r.query], tolerance)
+            assert r.correct is want
 
 
 class TestBenchQuery:

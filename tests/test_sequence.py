@@ -6,6 +6,8 @@ import pytest
 from vprfuse import ScoreMatrix, sequence_aggregate
 from vprfuse.errors import ValidationError
 
+from oracles import window_mean_oracle
+
 
 class TestSequenceAggregate:
     def test_length_one_is_identity(self, rng):
@@ -60,3 +62,16 @@ class TestSequenceAggregate:
         np.testing.assert_allclose(shifted, base + 11.0, rtol=0, atol=1e-12)
         assert np.array_equal(np.argmax(shifted, axis=1), np.argmax(base, axis=1))
 
+
+    # On 6 places, velocity 1 at length 9 and 2.5 at length 5 run out of
+    # places (shift >= 6) before k reaches the window length; 1e308 does so
+    # at k = 1, and its shift overflows to inf at k = 2.
+    @pytest.mark.parametrize("velocity", [0.3, 1.0, 2.5, 1e308])
+    @pytest.mark.parametrize("length", [1, 2, 3, 5, 9])
+    def test_matches_the_per_cell_oracle_bitwise(self, rng, velocity, length):
+        rows = rng.standard_normal((9, 6))
+        rows[rng.random(rows.shape) < 0.3] = -0.0
+        got = sequence_aggregate(ScoreMatrix(rows), length, velocity).scores
+        want = window_mean_oracle(rows, length, velocity)
+        # Sign bits included: a sum of -0.0 terms starts from +0.0.
+        assert got.tobytes() == want.tobytes()

@@ -3,7 +3,7 @@
 Precision is the fraction of issued matches that are correct; recall is the
 fraction of queries answered correctly (every query has a true place, so the
 recall denominator is the query count).  Curves sweep the per-method
-confidence from strictest to loosest; abstentions (records without a decided
+confidence from strictest to loosest; abstentions (queries without a decided
 place) never count as issued matches at any threshold.
 
 AUC is the trapezoidal integral of precision over the achieved recall range,
@@ -17,13 +17,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from statistics import median
-from typing import Sequence
 
 import numpy as np
 
 from .distance import distance_stack
 from .errors import ValidationError
-from .ingest import Dataset, ReferenceSet
+from .ingest import Dataset, ReferenceSet, _assembled
 from .methods import Method, resolve_method
 from .selection import DEFAULT_GAMMA
 from .sequence import ScoreMatrix, _check_window, sequence_aggregate
@@ -62,7 +61,7 @@ class PRCurve:
     """Precision-recall sweep, strictest threshold first.
 
     ``thresholds[k]`` is the confidence cutoff producing ``points[k]``
-    (a record is an issued match when its confidence >= the cutoff).
+    (a decided query is an issued match when its confidence >= the cutoff).
     """
 
     thresholds: np.ndarray
@@ -81,20 +80,23 @@ class PRCurve:
         return area
 
 
-def pr_curve(records: Sequence[EvalRecord]) -> PRCurve:
-    """Sweep confidence thresholds over the records.
+def pr_curve(confidences, decided, correct) -> PRCurve:
+    """Sweep confidence thresholds over per-query arrays.
 
-    When no record decided a place at all, the curve degenerates to the
-    single point (recall 0, precision 0) with AUC 0.
+    Only decided queries are read: their confidences must be finite, and
+    ``correct`` marks the right ones.  When no query decided a place, the
+    curve degenerates to the single point (recall 0, precision 0) with AUC 0.
     """
-    if not records:
-        raise ValidationError("need at least one record")
-    total = len(records)
-    decided = [r for r in records if r.place is not None]
-    if not decided:
+    conf = np.asarray(confidences, dtype=np.float64)
+    decided, correct = np.asarray(decided, dtype=bool), np.asarray(correct, dtype=bool)
+    if conf.ndim != 1 or conf.size == 0 or not decided.shape == correct.shape == conf.shape:
+        raise ValidationError("need non-empty, equal-length 1-D arrays, one entry per query")
+    total = conf.shape[0]
+    conf, correct = conf[decided], correct[decided]
+    if not np.isfinite(conf).all():
+        raise ValidationError("decided queries need a finite confidence")
+    if conf.size == 0:
         return PRCurve(thresholds=np.array([np.inf]), points=[(0.0, 0.0)])
-    conf = np.array([r.confidence for r in decided])
-    correct = np.array([bool(r.correct) for r in decided])
     order = np.argsort(-conf, kind="stable")
     conf, correct = conf[order], correct[order]
     cum_correct = np.cumsum(correct)
@@ -123,8 +125,10 @@ def _narrowed(method: Method, refs: list[ReferenceSet]) -> tuple[Method, list[Re
 
 @dataclass
 class MethodEvaluation:
-    method: str
-    records: list[EvalRecord]
+    places: np.ndarray  # (queries,) each score row's first argmax
+    confidences: np.ndarray  # (queries,) the score there
+    decided: np.ndarray  # (queries,) bool, False where the query abstained
+    correct: np.ndarray  # (queries,) bool, decided within the ground-truth tolerance
     curve: PRCurve
     scores: ScoreMatrix
 
@@ -145,7 +149,7 @@ def evaluate_method(
     Rows do not depend on the block size.  ``seq_len`` > 1 aggregates the
     score matrix over trailing windows (one more matrix) before deciding; a
     window that ``sequence_aggregate`` would reject raises ValidationError
-    before any query is scored.  Records are decided in one array pass: each
+    before any query is scored.  Queries are decided in one array pass: each
     row's first argmax and its score there.  A row without contrast (every
     place scored alike, e.g. the uniform prior when every selected set is
     degenerate) carries no information, so with more than one place that
@@ -169,25 +173,18 @@ def evaluate_method(
             block[j] = stack.values
             selections.append(scorer.select(stack, gamma))
         rows[start : start + step] = scorer.fuse_rows(block[: len(selections)], selections)
-    matrix = ScoreMatrix(rows, method=method.name)
+    # Finite by construction (fusion raises where a likelihood overflows), so unchecked.
+    matrix = _assembled(ScoreMatrix, scores=rows, method=method.name)
     if seq_len != 1:
         matrix = sequence_aggregate(matrix, seq_len, seq_velocity)
     places = matrix.scores.argmax(axis=1)
     confidences = np.take_along_axis(matrix.scores, places[:, None], axis=1)[:, 0]
     decided = (confidences != matrix.scores.min(axis=1)) | (dataset.n_places == 1)
     truth = dataset.ground_truth
-    correct = np.abs(places - truth.true_place) <= truth.tolerance
-    records = [
-        EvalRecord(t, place, confidence, ok) if issued else EvalRecord(t, None, confidence, None)
-        for t, (place, confidence, issued, ok) in enumerate(
-            zip(places.tolist(), confidences.tolist(), decided.tolist(), correct.tolist())
-        )
-    ]
+    correct = decided & (np.abs(places - truth.true_place) <= truth.tolerance)
     return MethodEvaluation(
-        method=method.name,
-        records=records,
-        curve=pr_curve(records),
-        scores=matrix,
+        places=places, confidences=confidences, decided=decided, correct=correct,
+        curve=pr_curve(confidences, decided, correct), scores=matrix,
     )
 
 

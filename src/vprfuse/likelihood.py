@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateReferenceError, _real_array, checked_array
+from .errors import DegenerateReferenceError, ValidationError, _real_array, checked_array
 
 # Variance floor below which a distance vector carries no contrast.
 SIGMA2_MIN = 1e-12
@@ -87,15 +87,17 @@ def log_likelihood_ratio(d: np.ndarray) -> np.ndarray:
     """Per-place log likelihood ratio of one distance vector, or of each row.
 
     Entry i is log(counts[i]) minus the Gaussian log-density of d[i] under
-    the background model.  A vector with (numerically) zero variance offers
-    no contrast between places and its ratio would be unbounded: alone it
-    raises DegenerateReferenceError, and in a block its row comes back as
-    NaN.  Every other row is free of NaN.
+    the background model.  A row with (numerically) zero variance offers no
+    contrast and its ratio would be unbounded: a vector raises
+    DegenerateReferenceError, a block row comes back as NaN.  A variance
+    that overflows float64 raises ValidationError.  Other rows are finite.
     """
     arr = _distance_rows(d)
     rows = arr.reshape(-1, arr.shape[-1])
     counts = place_match_counts(rows)
     fit = gaussian_params(rows)
+    if not np.isfinite(fit.sigma2).all():
+        raise ValidationError("distance variance overflows float64")
     usable = fit.sigma2 > SIGMA2_MIN
     if arr.ndim == 1 and not usable[0]:
         raise DegenerateReferenceError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 
 def counts_oracle(d: np.ndarray) -> np.ndarray:
@@ -138,6 +138,57 @@ def auc_dense_oracle(points, samples_per_segment: int = 20000) -> float:
     return area
 
 
+def explicit_distances(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Euclidean distances from one query to every row, by explicit float64 differences."""
+    diff = np.asarray(ref, dtype=np.float64) - np.asarray(query, dtype=np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def log_ratio_oracle(d: np.ndarray) -> np.ndarray:
+    """Log-domain single-set ratio: log(rank count) minus the Gaussian log-density.
+
+    The count is a vectorized quadratic comparison, the density scipy's with
+    the two-pass mean and variance.
+    """
+    counts = (d[None, :] >= d[:, None]).sum(axis=1)
+    mu, var = two_pass_mean_var(d)
+    return np.log(counts) - stats.norm.logpdf(d, loc=mu, scale=math.sqrt(var))
+
+
+def fused_rows_oracle(
+    distances: np.ndarray, ratios: np.ndarray, kind: str, rule, gamma: float
+) -> np.ndarray:
+    """Score rows from each query's explicit distances and per-set log ratios.
+
+    ``distances`` and ``ratios`` are (queries, sets, places).  ``rule`` names
+    the sets fused for a query: "all", one set index, or "gamma", the sets
+    whose minimum exceeds the best minimum by at most a relative ``gamma``
+    (exactly the zero-minimum sets when the best is 0).  ``kind`` "belief"
+    scores with scipy's softmax of the fused sets' summed log ratios (a
+    uniform prior only shifts them); "distance" with their negated mean
+    distance.  No set may be degenerate.
+    """
+    rows = []
+    for d, ratio in zip(distances, ratios):
+        if rule == "all":
+            fused = range(len(d))
+        elif rule == "gamma":
+            minima = [min(row) for row in d.tolist()]
+            best = min(minima)
+            fused = [
+                u
+                for u, m in enumerate(minima)
+                if (m == 0.0 if best == 0.0 else (m - best) / best <= gamma)
+            ]
+        else:
+            fused = [rule]
+        if kind == "belief":
+            rows.append(special.softmax(sum(ratio[u] for u in fused)))
+        else:
+            rows.append(-sum(d[u] for u in fused) / len(fused))
+    return np.array(rows)
+
+
 def informed_single_reference_rows(
     queries: np.ndarray, refs: list[np.ndarray], conditions: np.ndarray, kind: str
 ) -> np.ndarray:
@@ -146,19 +197,15 @@ def informed_single_reference_rows(
     Query t is scored against ``refs[conditions[t]]`` alone, the prior
     (unfair) knowledge of the best reference set that the methods under test
     do not get.  ``kind`` "min-value" scores with the negated explicit
-    distances; "bayes-single" with the softmax of log(rank count) minus the
-    scipy Gaussian log-density of the two-pass mean and variance.
+    distances; "bayes-single" with the softmax of ``log_ratio_oracle``.
     """
     rows = []
     for q, u in zip(queries, conditions):
-        diff = np.asarray(refs[u], dtype=np.float64) - np.asarray(q, dtype=np.float64)
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        d = explicit_distances(q, refs[u])
         if kind == "min-value":
             rows.append(-d)
             continue
-        counts = (d[None, :] >= d[:, None]).sum(axis=1)
-        mu, var = two_pass_mean_var(d)
-        log_ratio = np.log(counts) - stats.norm.logpdf(d, loc=mu, scale=math.sqrt(var))
+        log_ratio = log_ratio_oracle(d)
         z = np.exp(log_ratio - log_ratio.max())
         rows.append(z / z.sum())
     return np.array(rows)

@@ -24,7 +24,6 @@ from vprfuse import (
     match_correct,
     place_match_counts,
     posterior,
-    pr_curve,
     resolve_method,
     select_references,
     select_single,
@@ -38,6 +37,7 @@ from oracles import (
     posterior_linear_oracle,
     pr_sweep_oracle,
 )
+from records import records_curve
 
 
 @contextmanager
@@ -153,7 +153,7 @@ def test_criterion_5_pr_auc_oracle():
             records = _random_records(rng, int(rng.integers(1, 501)))
             if all(r.place is None for r in records):
                 continue
-            curve = pr_curve(records)
+            curve = records_curve(records)
             want = pr_sweep_oracle(records)
             assert len(curve.points) == len(want)
             for (thr, (rec, prec)), (othr, orec, oprec) in zip(
@@ -167,7 +167,7 @@ def test_criterion_5_pr_auc_oracle():
             EvalRecord(query=q, place=q, confidence=1.0 - 0.01 * q, correct=True)
             for q in range(50)
         ]
-        assert pr_curve(perfect).auc == 1.0
+        assert records_curve(perfect).auc == 1.0
 
 
 # The default-seed protocol dataset: 500 places, 3 conditions, queries drawn
@@ -220,9 +220,8 @@ def test_criterion_7_sequence_improvement(protocol_dataset):
             via_length_1.scores.scores, single.scores.scores
         )
         assert via_length_1.curve.auc == single.curve.auc
-        assert [
-            (r.place, r.confidence) for r in via_length_1.records
-        ] == [(r.place, r.confidence) for r in single.records]
+        for field in ("places", "confidences", "decided", "correct"):
+            np.testing.assert_array_equal(getattr(via_length_1, field), getattr(single, field))
 
         sequence = evaluate_method(protocol_dataset, "bayes-selective", seq_len=5)
         assert sequence.curve.auc >= single.curve.auc
@@ -301,15 +300,14 @@ def test_criterion_9_degenerate_inputs():
         np.testing.assert_array_equal(bayes.score_row(one_place), uniform_prior(1))
         for name in ("bayes-selective", "min-value:0", "baseline-fusion"):
             result = evaluate_method(tiny, name)
-            assert len(result.records) == 1
-            assert result.records[0].place == 0
+            assert result.places.tolist() == [0] and result.decided.tolist() == [True]
 
         # all-abstention evaluation: defined degenerate curve
         records = [
             EvalRecord(query=q, place=None, confidence=float("nan"), correct=None)
             for q in range(5)
         ]
-        curve = pr_curve(records)
+        curve = records_curve(records)
         assert curve.points == [(0.0, 0.0)] and curve.auc == 0.0
 
 

@@ -1,11 +1,17 @@
 """Distance operations against independent summation oracles."""
 
+import ast
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vprfuse
 from vprfuse import DistanceStack, ReferenceSet, distance_stack, distance_vector
 from vprfuse.errors import ValidationError
 
@@ -192,24 +198,48 @@ class TestDistanceStack:
             DistanceStack(np.array([[1.0, np.inf]]))
 
 
+# The BLAS thread variables perfbench pins.  At a default of 2 threads on a
+# 2-core host, each of these GEMVs carried a flat cost of several ms at every
+# size, which hides the per-place cost this test measures.
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+def per_place_costs() -> dict:
+    """Best-of-15 seconds per place of ``distance_vector`` at 500 to 4000 places."""
+    rng = np.random.default_rng(1234)
+    dim = 1024  # large enough that per-call overhead amortizes
+    q = rng.standard_normal(dim)
+    sizes = (500, 1000, 2000, 4000)
+    refs = {
+        n: ReferenceSet(f"n{n}", rng.standard_normal((n, dim)).astype(np.float32))
+        for n in sizes
+    }
+    for ref in refs.values():  # warm up BLAS and CPU caches before timing
+        distance_vector(q, ref)
+    times = {n: [] for n in sizes}
+    for _ in range(15):  # sizes interleaved, so drift in host speed hits all
+        for n, ref in refs.items():
+            times[n].append(_timed(lambda: distance_vector(q, ref)))
+    return {n: min(times[n]) / n for n in sizes}
+
+
 class TestLinearScaling:
-    def test_cost_linear_in_places(self, rng):
-        # Per-place cost should be flat within 2x across a 8x size range.
-        # The dimension is large enough that per-call overhead amortizes.
-        dim = 1024
-        q = rng.standard_normal(dim)
-        sizes = (500, 1000, 2000, 4000)
-        refs = {
-            n: ReferenceSet(f"n{n}", rng.standard_normal((n, dim)).astype(np.float32))
-            for n in sizes
+    def test_cost_linear_in_places(self):
+        # Per-place cost should be flat within 2x across a 8x size range.  The
+        # timing runs in a child process with one BLAS thread, since the thread
+        # count can only be set before numpy loads.
+        paths = (Path(vprfuse.__file__).parents[1], Path(__file__).parent, os.environ.get("PYTHONPATH"))
+        env = {
+            **os.environ,
+            **dict.fromkeys(BLAS_ENV, "1"),
+            "PYTHONPATH": os.pathsep.join(str(p) for p in paths if p),
         }
-        for ref in refs.values():  # warm up BLAS and CPU caches before timing
-            distance_vector(q, ref)
-        times = {n: [] for n in sizes}
-        for _ in range(15):  # sizes interleaved, so drift in host speed hits all
-            for n, ref in refs.items():
-                times[n].append(_timed(lambda: distance_vector(q, ref)))
-        per_place = {n: min(times[n]) / n for n in sizes}
+        child = subprocess.run(
+            [sys.executable, "-c", "import test_distance; print(test_distance.per_place_costs())"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        per_place = ast.literal_eval(child.stdout)
         ratio = max(per_place.values()) / min(per_place.values())
         assert ratio < 2.0, f"per-place cost ratio {ratio:.2f}, per_place={per_place}"
 

@@ -22,7 +22,15 @@ from vprfuse import (
 )
 from vprfuse.errors import ValidationError
 
-from oracles import auc_dense_oracle, pr_sweep_oracle, records_oracle
+from oracles import (
+    auc_dense_oracle,
+    explicit_distances,
+    fused_rows_oracle,
+    log_ratio_oracle,
+    pr_sweep_oracle,
+    records_oracle,
+)
+from records import records_curve
 
 
 def record(q, place, conf, correct):
@@ -61,14 +69,14 @@ class TestMatchCorrect:
 class TestPRCurve:
     def test_perfect_matcher(self):
         records = [record(q, q, 1.0 - q * 0.1, True) for q in range(5)]
-        curve = pr_curve(records)
+        curve = records_curve(records)
         assert all(p == 1.0 for _, p in curve.points)
         assert curve.points[-1][0] == 1.0
         assert curve.auc == 1.0
 
     def test_all_wrong(self):
         records = [record(q, q, 1.0 - q * 0.1, False) for q in range(5)]
-        curve = pr_curve(records)
+        curve = records_curve(records)
         assert all(p == 0.0 for _, p in curve.points)
         assert curve.auc == 0.0
 
@@ -79,7 +87,7 @@ class TestPRCurve:
             record(2, 3, 0.7, True),
             record(3, 4, 0.6, True),
         ]
-        curve = pr_curve(records)
+        curve = records_curve(records)
         assert curve.points[0] == (0.25, 1.0)
         assert curve.points[1] == (0.25, 0.5)
         assert curve.points[2] == (0.5, 2 / 3)
@@ -87,7 +95,7 @@ class TestPRCurve:
 
     def test_recall_non_decreasing(self, rng):
         for _ in range(30):
-            curve = pr_curve(random_records(rng, 60, tie_rate=0.4))
+            curve = records_curve(random_records(rng, 60, tie_rate=0.4))
             recalls = [r for r, _ in curve.points]
             assert recalls == sorted(recalls)
 
@@ -97,7 +105,7 @@ class TestPRCurve:
                                      no_match_rate=0.2, tie_rate=0.3)
             if all(r.place is None for r in records):
                 continue
-            curve = pr_curve(records)
+            curve = records_curve(records)
             want = pr_sweep_oracle(records)
             assert len(curve.points) == len(want)
             for (thr, (rec, prec)), (othr, orec, oprec) in zip(
@@ -112,7 +120,7 @@ class TestPRCurve:
             record(0, 3, 0.9, True),
             EvalRecord(query=1, place=None, confidence=float("-inf"), correct=None),
         ]
-        curve = pr_curve(records)
+        curve = records_curve(records)
         assert curve.points == [(0.5, 1.0)]  # recall denominator still counts both
 
     def test_all_no_match(self):
@@ -120,13 +128,33 @@ class TestPRCurve:
             EvalRecord(query=q, place=None, confidence=float("nan"), correct=None)
             for q in range(4)
         ]
-        curve = pr_curve(records)
+        curve = records_curve(records)
         assert curve.points == [(0.0, 0.0)]
         assert curve.auc == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            pr_curve([])
+            records_curve([])
+
+    @pytest.mark.parametrize(
+        "confidences, decided, correct",
+        [
+            ([0.5, 0.4], [True], [True]),
+            ([0.5], [True, False], [True]),
+            ([0.5], [True], [True, False]),
+            ([[0.5]], [[True]], [[True]]),
+            ([0.5, np.nan], [True, True], [True, False]),
+            ([-np.inf], [True], [True]),
+        ],
+    )
+    def test_bad_arrays_rejected(self, confidences, decided, correct):
+        with pytest.raises(ValidationError):
+            pr_curve(confidences, decided, correct)
+
+    def test_undecided_entries_are_not_read(self):
+        curve = pr_curve([np.nan, 0.5, -np.inf], [False, True, False], [True, True, True])
+        assert curve.points == [(1 / 3, 1.0)]
+        np.testing.assert_array_equal(curve.thresholds, [0.5])
 
     def test_record_consistency_enforced(self):
         with pytest.raises(ValidationError):
@@ -151,12 +179,12 @@ class TestAUC:
     def test_matches_dense_integration(self, rng):
         for _ in range(20):
             records = random_records(rng, int(rng.integers(2, 200)), tie_rate=0.3)
-            curve = pr_curve(records)
+            curve = records_curve(records)
             assert curve.auc == pytest.approx(auc_dense_oracle(curve.points), abs=1e-6)
 
     def test_in_unit_interval(self, rng):
         for _ in range(30):
-            curve = pr_curve(random_records(rng, 50, no_match_rate=0.3))
+            curve = records_curve(random_records(rng, 50, no_match_rate=0.3))
             assert 0.0 <= curve.auc <= 1.0
 
     def test_dominating_curve_has_larger_auc(self):
@@ -166,7 +194,7 @@ class TestAUC:
 
     def test_raising_cutoff_never_increases_recall(self, rng):
         records = random_records(rng, 80, tie_rate=0.2)
-        curve = pr_curve(records)
+        curve = records_curve(records)
         # thresholds are strictest-first, so recall along them is non-decreasing;
         # equivalently raising the cutoff moves recall down
         recalls = [r for r, _ in curve.points]
@@ -178,7 +206,8 @@ class TestEvaluateMethod:
     def test_records_cover_every_query(self):
         ds = generate_synthetic(seed=3, n_places=40, n_conditions=2, dim=8)
         result = evaluate_method(ds, "bayes-selective")
-        assert [r.query for r in result.records] == list(range(40))
+        for values in (result.places, result.confidences, result.decided, result.correct):
+            assert values.shape == (40,)
         assert result.scores.n_queries == 40
 
     def test_information_free_queries_abstain(self, rng):
@@ -190,8 +219,34 @@ class TestEvaluateMethod:
         ds = Dataset(refs, rng.standard_normal((4, 6)), GroundTruth(np.arange(4), 0))
         for method in expand_methods("all", ds.labels):
             result = evaluate_method(ds, method)
-            assert all(r.place is None and r.correct is None for r in result.records)
+            assert not result.decided.any() and not result.correct.any()
             assert result.curve.auc == 0.0
+
+    @pytest.mark.parametrize("seq_len, checks", [(1, 0), (5, 1)])
+    def test_no_records_and_score_matrices_checked_once_at_most(
+        self, monkeypatch, seq_len, checks
+    ):
+        """Kernel rows are finite by construction; only window means are checked."""
+        synth = generate_synthetic(seed=3, n_places=40, n_conditions=2, dim=8)
+        ds = Dataset(synth.refs, synth.queries[:30], GroundTruth(np.arange(30), 0))
+        # Blocks of 7 queries, so that only a whole score matrix has 30 x 40 entries.
+        monkeypatch.setattr("vprfuse.evaluation._BLOCK_BYTES", 7 * 8 * 2 * 40)
+        isfinite = np.isfinite
+        shapes = []
+
+        def spy(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        def no_record(self):
+            raise AssertionError("evaluate_method built an EvalRecord")
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        monkeypatch.setattr(EvalRecord, "__post_init__", no_record)
+        for method in expand_methods("all", ds.labels):
+            shapes.clear()
+            evaluate_method(ds, method, seq_len=seq_len)
+            assert shapes.count((30, 40)) == checks, method.name
 
     def test_sequence_length_one_identical(self):
         ds = generate_synthetic(seed=5, n_places=25, n_conditions=2, dim=8)
@@ -227,15 +282,16 @@ class TestEvaluateMethod:
             seed=5, n_places=25, n_conditions=1, dim=8, gt_tolerance=25
         )
         result = evaluate_method(ds, "min-value:0")
-        assert all(r.correct for r in result.records)  # everything within band
+        assert result.correct.all()  # everything within band
         assert result.curve.auc == 1.0
 
 
 class TestRecordPass:
-    """Records are decided in one array pass; a per-row loop is the reference."""
+    """Queries are decided in one array pass; a per-row loop is the reference."""
 
     def _records(self, monkeypatch, rng, scores, tolerance=0):
-        """evaluate_method's records when every query's score row is given."""
+        """evaluate_method's (place, confidence, correct) per query, None where
+        it abstained, when every query's score row is given."""
         n_q, n_p = scores.shape
         truth = GroundTruth(rng.integers(0, n_p, size=n_q), tolerance)
         ds = Dataset(
@@ -245,11 +301,18 @@ class TestRecordPass:
         )
         monkeypatch.setattr(Method, "fuse_rows", lambda self, values, selections: scores)
         monkeypatch.setattr("vprfuse.evaluation._BLOCK_BYTES", 8 * n_q * n_p)  # one block
-        records = evaluate_method(ds, "bayes-full").records
-        assert [r.query for r in records] == list(range(n_q))
-        got = [(r.place, r.confidence, r.correct) for r in records]
+        result = evaluate_method(ds, "bayes-full")
+        got = [
+            (place, confidence, ok) if issued else (None, confidence, None)
+            for place, confidence, issued, ok in zip(
+                result.places.tolist(),
+                result.confidences.tolist(),
+                result.decided.tolist(),
+                result.correct.tolist(),
+            )
+        ]
         assert got == records_oracle(scores, truth.true_place, tolerance)
-        return records, truth
+        return got, truth
 
     def test_ties_go_to_the_lowest_place_and_constant_rows_abstain(self, monkeypatch, rng):
         scores = np.array(
@@ -261,22 +324,66 @@ class TestRecordPass:
                 [2.0, 1.0, 0.0, -1.0, 2.0],
             ]
         )
-        records, _ = self._records(monkeypatch, rng, scores)
-        assert [r.place for r in records] == [1, 0, None, None, 0]
-        assert np.signbit(records[1].confidence)  # the score at the argmax, -0.0
-        assert records[2].confidence == 0.3 and records[2].correct is None
+        got, _ = self._records(monkeypatch, rng, scores)
+        assert [place for place, _, _ in got] == [1, 0, None, None, 0]
+        assert np.signbit(got[1][1])  # the score at the argmax, -0.0
+        assert got[2][1:] == (0.3, None)
 
     def test_a_single_place_never_abstains(self, monkeypatch, rng):
-        records, _ = self._records(monkeypatch, rng, np.array([[0.5], [-2.0], [0.0]]))
-        assert [(r.place, r.correct) for r in records] == [(0, True)] * 3
+        got, _ = self._records(monkeypatch, rng, np.array([[0.5], [-2.0], [0.0]]))
+        assert [(place, ok) for place, _, ok in got] == [(0, True)] * 3
 
     @pytest.mark.parametrize("tolerance", [0, 1, 3, 29])
     def test_correct_within_the_tolerance_band(self, monkeypatch, rng, tolerance):
         scores = rng.standard_normal((60, 30))
-        records, truth = self._records(monkeypatch, rng, scores, tolerance)
-        for r in records:
-            want = match_correct(r.place, truth.true_place[r.query], tolerance)
-            assert r.correct is want
+        got, truth = self._records(monkeypatch, rng, scores, tolerance)
+        for t, (place, _, ok) in enumerate(got):
+            assert ok is match_correct(place, truth.true_place[t], tolerance)
+
+
+# The README protocol at condition scale 0.15, where fusion fuses: of the 500
+# queries, 380, 100 and 20 select 1, 2 and 3 sets under gamma 0.04.
+_FUSING = dict(seed=0, condition_scale=0.15, mixture=(0.5, 0.5, 0.0))
+# Each method's oracle kind and fusion rule, and its frozen AUC.
+_FUSING_METHODS = {
+    "bayes-selective": ("belief", "gamma", 0.9959107245730086),
+    "bayes-full": ("belief", "all", 1.0),
+    "baseline-fusion": ("distance", "all", 1.0),
+    "baseline-selective": ("distance", "gamma", 0.9952849309538918),
+    "bayes-single:cond0": ("belief", 0, 0.9745870303706853),
+    "bayes-single:cond1": ("belief", 1, 0.9816212840606916),
+    "bayes-single:cond2": ("belief", 2, 0.9717215334508867),
+    "min-value:cond0": ("distance", 0, 0.968609062097421),
+    "min-value:cond1": ("distance", 1, 0.9792376830577928),
+    "min-value:cond2": ("distance", 2, 0.9681561444885726),
+}
+
+
+@pytest.fixture(scope="module")
+def fusing():
+    """The dataset, and every query's explicit distances and per-set log ratios."""
+    ds = generate_synthetic(**_FUSING)
+    distances = np.array(
+        [[explicit_distances(q, ref.descriptors) for ref in ds.refs] for q in ds.queries]
+    )
+    ratios = np.array([[log_ratio_oracle(d) for d in stack] for stack in distances])
+    return ds, distances, ratios
+
+
+class TestFusingRowOracle:
+    """Every method's eval rows against log-domain rows from explicit distances."""
+
+    def test_roster_is_covered(self, fusing):
+        assert [m.name for m in expand_methods("all", fusing[0].labels)] == list(_FUSING_METHODS)
+
+    @pytest.mark.parametrize("name", list(_FUSING_METHODS))
+    def test_rows_match_the_oracle_and_the_auc_is_frozen(self, fusing, name):
+        ds, distances, ratios = fusing
+        kind, rule, frozen = _FUSING_METHODS[name]
+        result = evaluate_method(ds, name)
+        want = fused_rows_oracle(distances, ratios, kind, rule, gamma=0.04)
+        np.testing.assert_allclose(result.scores.scores, want, rtol=1e-12, atol=1e-13)
+        assert result.curve.auc == pytest.approx(frozen, abs=1e-6)
 
 
 class TestBenchQuery:
@@ -316,7 +423,8 @@ class TestBlockScoring:
         for queries in (2, 7, 30):
             for got, want in zip(results[queries], results[1]):
                 np.testing.assert_array_equal(got.scores.scores, want.scores.scores)
-                assert got.records == want.records
+                for field in ("places", "confidences", "decided", "correct"):
+                    np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
                 np.testing.assert_array_equal(got.curve.thresholds, want.curve.thresholds)
                 assert got.curve.points == want.curve.points
 
@@ -358,7 +466,7 @@ class TestNarrowing:
             if seq_len != 1:
                 want = sequence_aggregate(want, seq_len, 1.0)
             got = evaluate_method(ds, method, seq_len=seq_len)
-            assert got.method == method.name
+            assert got.scores.method == method.name
             np.testing.assert_array_equal(got.scores.scores, want.scores)
 
     def test_single_set_methods_stack_their_own_set(self, ds, monkeypatch):

@@ -9,10 +9,19 @@ from scipy import stats
 
 from vprfuse import (
     SIGMA2_MIN,
+    Dataset,
     GaussianParams,
+    GroundTruth,
+    ReferenceSet,
+    distance_stack,
+    evaluate_method,
+    expand_methods,
     gaussian_params,
     log_likelihood_ratio,
     place_match_counts,
+    posterior,
+    select_references,
+    uniform_prior,
 )
 from vprfuse.errors import DegenerateReferenceError, ValidationError
 
@@ -214,3 +223,49 @@ class TestBlocks:
         for fn in (place_match_counts, gaussian_params, log_likelihood_ratio):
             with pytest.raises(ValidationError):
                 fn(bad)
+
+
+class TestVarianceOverflow:
+    """Finite distances whose squared residuals overflow float64 are bad input.
+
+    The distances below peak at 9.2e153, so the kernel accepts them, but the
+    sum of their squared residuals overflows.  numpy's overflow warnings are
+    silenced so that the likelihood's own check is reached.
+    """
+
+    @pytest.fixture
+    def refs_and_query(self):
+        rng = np.random.default_rng(0)
+        refs = [ReferenceSet(label, 2e153 * rng.standard_normal((200, 2))) for label in "ab"]
+        return refs, 2e153 * rng.standard_normal(2)
+
+    @pytest.fixture(autouse=True)
+    def quiet(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+
+    def test_vector_and_block_rejected(self, rng, refs_and_query):
+        stack = distance_stack(refs_and_query[1], refs_and_query[0])
+        assert np.isfinite(stack.values).all()
+        block = np.stack([rng.uniform(0.5, 2.0, size=200), stack.values[0]])
+        for d in (stack.values[0], block):
+            with pytest.raises(ValidationError, match="variance overflows"):
+                log_likelihood_ratio(d)
+
+    def test_posterior_and_belief_rows_rejected(self, refs_and_query):
+        refs, query = refs_and_query
+        stack = distance_stack(query, refs)
+        with pytest.raises(ValidationError, match="variance overflows"):
+            posterior(stack, select_references(stack), uniform_prior(200))
+        for method in expand_methods("all", ["a", "b"]):
+            if method.kind == "belief":
+                with pytest.raises(ValidationError, match="variance overflows"):
+                    method.score_row(stack)
+            else:
+                assert np.isfinite(method.score_row(stack)).all()
+
+    def test_evaluation_rejected(self, refs_and_query):
+        refs, query = refs_and_query
+        ds = Dataset(refs, query[None], GroundTruth(np.array([0]), 0))
+        with pytest.raises(ValidationError, match="variance overflows"):
+            evaluate_method(ds, "bayes-selective")

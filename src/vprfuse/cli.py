@@ -1,7 +1,7 @@
 """Command-line entry point: synth, eval, match and bench subcommands.
 
-All randomness lives in ``synth`` behind an explicit seed; given the same
-flags and input files every command produces byte-identical output.
+All randomness lives in ``synth`` behind an explicit seed; at a fixed BLAS
+thread count, the same flags and input files give byte-identical output.
 """
 
 from __future__ import annotations

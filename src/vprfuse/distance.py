@@ -63,25 +63,26 @@ def _distances(q: np.ndarray, refs: list[ReferenceSet]) -> np.ndarray:
             )
         if ref.dim != q.shape[0]:
             raise ValidationError(f"dimension mismatch: query {q.shape[0]}, reference {ref.dim}")
-    d2 = np.empty((len(refs), n))
-    row_sq_norms = np.empty((len(refs), n))
-    for u, ref in enumerate(refs):
-        np.matmul(ref.descriptors, q, out=d2[u])
-        row_sq_norms[u] = ref.sq_norms
-    q_sq = float(q @ q)
-    d2 *= -2.0
-    d2 += row_sq_norms
-    d2 += q_sq
-    np.maximum(d2, 0.0, out=d2)
-    row_sq_norms += q_sq  # the bound, formed in place over this call's copy
-    row_sq_norms *= _RECHECK_REL
-    suspect = d2 <= row_sq_norms
-    if suspect.any():
-        for u in np.flatnonzero(suspect.any(axis=1)):
-            diff = refs[u].descriptors[suspect[u]] - q
-            d2[u, suspect[u]] = np.einsum("ij,ij->i", diff, diff)
-    np.sqrt(d2, out=d2)
-    # Finite inputs can still overflow the expanded form (entries near 1e200).
+    # Finite inputs can overflow the expanded form (near 1e200); inf or NaN is rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = np.empty((len(refs), n))
+        row_sq_norms = np.empty((len(refs), n))
+        for u, ref in enumerate(refs):
+            np.matmul(ref.descriptors, q, out=d2[u])
+            row_sq_norms[u] = ref.sq_norms
+        q_sq = float(q @ q)
+        d2 *= -2.0
+        d2 += row_sq_norms
+        d2 += q_sq
+        np.maximum(d2, 0.0, out=d2)
+        row_sq_norms += q_sq  # the bound, formed in place over this call's copy
+        row_sq_norms *= _RECHECK_REL
+        suspect = d2 <= row_sq_norms
+        if suspect.any():
+            for u in np.flatnonzero(suspect.any(axis=1)):
+                diff = refs[u].descriptors[suspect[u]] - q
+                d2[u, suspect[u]] = np.einsum("ij,ij->i", diff, diff)
+        np.sqrt(d2, out=d2)
     if not np.isfinite(d2).all():
         raise ValidationError("distance stack contains non-finite values")
     return d2

@@ -142,10 +142,9 @@ def evaluate_method(
 ) -> MethodEvaluation:
     """Run one method over every query and build its precision-recall curve.
 
-    Queries are scored a block at a time: each query's distance stack goes
-    into one preallocated block and its selection is computed, then
-    ``Method.fuse_rows`` scores the whole block with one likelihood pass per
-    reference set.  A single-set method's stacks cover its own set only.
+    Queries are scored a block at a time: each query's distance stack and
+    selection mask go into one preallocated block, then ``Method.fuse_rows``
+    scores the whole block with one likelihood pass per reference set.  A single-set method's stacks cover its own set only.
     Rows do not depend on the block size.  ``seq_len`` > 1 aggregates the
     score matrix over trailing windows (one more matrix) before deciding; a
     window that ``sequence_aggregate`` would reject raises ValidationError
@@ -165,14 +164,14 @@ def evaluate_method(
     # raise peak memory with their likelihood temporaries.
     step = max(1, _BLOCK_BYTES // (8 * dataset.n_refs * dataset.n_places))
     block = np.empty((min(step, queries.shape[0]), len(refs), dataset.n_places))
+    selected = np.empty(block.shape[:2], dtype=bool)
     rows = np.empty((queries.shape[0], dataset.n_places))
     for start in range(0, queries.shape[0], step):
-        selections = []
         for j, q in enumerate(queries[start : start + step]):
             stack = distance_stack(q, refs)
             block[j] = stack.values
-            selections.append(scorer.select(stack, gamma))
-        rows[start : start + step] = scorer.fuse_rows(block[: len(selections)], selections)
+            selected[j] = scorer.select(stack, gamma).mask
+        rows[start : start + step] = scorer.fuse_rows(block[: j + 1], selected[: j + 1])
     # Finite by construction (fusion raises where a likelihood overflows), so unchecked.
     matrix = _assembled(ScoreMatrix, scores=rows, method=method.name)
     if seq_len != 1:

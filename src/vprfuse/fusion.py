@@ -113,23 +113,22 @@ def posterior(
     This is the one-query case of ``fused_log_scores``.
     """
     prior = _validated_prior(prior, stack.n_places)
-    if selection.minima.shape[0] != stack.n_refs:
+    selected = selection.mask
+    if selected.shape[0] != stack.n_refs:
         raise ValidationError(
-            f"selection covers {selection.minima.shape[0]} sets, stack has {stack.n_refs}"
+            f"selection covers {selected.shape[0]} sets, stack has {stack.n_refs}"
         )
     with np.errstate(divide="ignore"):  # one-hot priors contain zeros
         log_prior = np.log(prior)
-    selected = np.zeros((1, stack.n_refs), dtype=bool)
-    selected[0, list(selection.selected)] = True
-    log_scores, used = fused_log_scores(stack.values[None], selected, log_prior)
+    log_scores, used = fused_log_scores(stack.values[None], selected[None], log_prior)
     if not used.any():
         raise NoInformationError(
-            f"all {len(selection.selected)} selected reference sets are degenerate"
+            f"all {selection.n_selected} selected reference sets are degenerate"
         )
     return Belief(
         log_scores=log_scores[0],
         normalized=_normalize_log_scores(log_scores[0]),
-        dropped=tuple(u for u in selection.selected if not used[0, u]),
+        dropped=tuple(np.flatnonzero(selected & ~used[0]).tolist()),
     )
 
 

@@ -76,8 +76,9 @@ def gaussian_params(d: np.ndarray) -> GaussianParams:
     """
     arr = _distance_rows(d)
     n = arr.shape[-1]
-    mu = np.add.reduce(arr, axis=-1, keepdims=True) / n
-    sigma2 = np.add.reduce(np.square(arr - mu), axis=-1) / n
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by the caller
+        mu = np.add.reduce(arr, axis=-1, keepdims=True) / n
+        sigma2 = np.add.reduce(np.square(arr - mu), axis=-1) / n
     if arr.ndim == 1:
         return GaussianParams(mu=float(mu[0]), sigma2=float(sigma2))
     return GaussianParams(mu=mu[:, 0], sigma2=sigma2)

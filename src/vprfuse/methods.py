@@ -66,27 +66,18 @@ class Method:
             return select_all(stack)
         return select_single(stack, self.rule)
 
-    def fuse_rows(
-        self, values: np.ndarray, selections: Sequence[SelectionResult]
-    ) -> np.ndarray:
+    def fuse_rows(self, values: np.ndarray, selected: np.ndarray) -> np.ndarray:
         """Score rows of a block of queries, one row per query.
 
         ``values`` stacks the queries' (sets, places) distances and
-        ``selections`` holds each query's selection.  Every row is
-        bit-identical to the query scored alone.
+        ``selected`` is their (queries, sets) bool selection mask.  Every row
+        is bit-identical to the query scored alone.
         """
-        if len(selections) != values.shape[0] or any(
-            selection.minima.shape[0] != values.shape[1] for selection in selections
-        ):
+        if selected.dtype != bool or selected.shape != values.shape[:2]:
             raise ValidationError(
                 f"need one selection over {values.shape[1]} sets per query, "
                 f"for {values.shape[0]} queries"
             )
-        selected = np.zeros(values.shape[:2], dtype=bool)
-        selected[
-            [q for q, selection in enumerate(selections) for _ in selection.selected],
-            [u for selection in selections for u in selection.selected],
-        ] = True
         if self.kind == BELIEF:
             log_prior = np.log(uniform_prior(values.shape[2]))
             # A query whose selected sets are all degenerate keeps the log
@@ -100,7 +91,7 @@ class Method:
 
     def fuse(self, stack: DistanceStack, selection: SelectionResult) -> np.ndarray:
         """Score row for an already-computed selection: ``fuse_rows`` of one query."""
-        return self.fuse_rows(stack.values[None], [selection])[0]
+        return self.fuse_rows(stack.values[None], selection.mask[None])[0]
 
     def score_row(self, stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
         return self.fuse(stack, self.select(stack, gamma))

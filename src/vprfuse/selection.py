@@ -38,6 +38,13 @@ class SelectionResult:
     def n_selected(self) -> int:
         return len(self.selected)
 
+    @property
+    def mask(self) -> np.ndarray:
+        """One bool per set of the stack this selection was made from, True where selected."""
+        mask = np.zeros(self.minima.shape[0], dtype=bool)
+        mask[list(self.selected)] = True
+        return mask
+
 
 def select_references(stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> SelectionResult:
     """Keep the sets whose minimum is within a relative fraction gamma of the best."""

@@ -184,12 +184,17 @@ class TestDistanceStack:
             distance_stack(np.zeros(3), refs)
 
     def test_overflowing_squares_rejected(self):
-        # Finite inputs whose squared distances overflow float64; numpy's
-        # overflow warnings are silenced so the kernel's own check is reached.
+        # Finite inputs whose squared distances overflow float64.
         ref = ReferenceSet("a", np.full((3, 4), 1e200))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match="distance stack contains non-finite"):
+            distance_stack(np.full(4, -1e200), [ref])
+
+    def test_overflow_rejected_when_numpy_raises(self):
+        # The kernel's own check decides, whatever numpy's error settings.
+        ref = ReferenceSet("a", [[1e200, 0.0], [0.0, 1.0]])
+        with np.errstate(all="raise"):
             with pytest.raises(ValidationError, match="distance stack contains non-finite"):
-                distance_stack(np.full(4, -1e200), [ref])
+                distance_stack(np.array([-1e200, 0.0]), [ref])
 
     def test_stack_validation(self):
         with pytest.raises(ValidationError):

@@ -299,7 +299,7 @@ class TestRecordPass:
             rng.standard_normal((n_q, 3)),
             truth,
         )
-        monkeypatch.setattr(Method, "fuse_rows", lambda self, values, selections: scores)
+        monkeypatch.setattr(Method, "fuse_rows", lambda self, values, selected: scores)
         monkeypatch.setattr("vprfuse.evaluation._BLOCK_BYTES", 8 * n_q * n_p)  # one block
         result = evaluate_method(ds, "bayes-full")
         got = [

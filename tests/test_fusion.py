@@ -240,7 +240,7 @@ class TestBlockFusion:
         labels = ["a", "b", "c"]
         for method in expand_methods("all", labels):
             selections = [method.select(stack, 0.3) for stack in stacks]
-            rows = method.fuse_rows(values, selections)
+            rows = method.fuse_rows(values, np.stack([s.mask for s in selections]))
             for stack, selection, row in zip(stacks, selections, rows):
                 np.testing.assert_array_equal(row, method.fuse(stack, selection))
                 if method.kind == "distance":  # the per-query formula, bit for bit
@@ -252,6 +252,7 @@ class TestBlockFusion:
         values = rng.uniform(0.5, 2.0, size=(3, 2, n))
         values[1, 0] = 0.75  # query 1: its one selected set is degenerate
         method = resolve_method("bayes-single:0", ["a", "b"])
-        rows = method.fuse_rows(values, [method.select(DistanceStack(v)) for v in values])
+        selected = np.stack([method.select(DistanceStack(v)).mask for v in values])
+        rows = method.fuse_rows(values, selected)
         np.testing.assert_array_equal(rows[1], uniform_prior(n))
         assert not np.array_equal(rows[0], uniform_prior(n))

@@ -229,8 +229,8 @@ class TestVarianceOverflow:
     """Finite distances whose squared residuals overflow float64 are bad input.
 
     The distances below peak at 9.2e153, so the kernel accepts them, but the
-    sum of their squared residuals overflows.  numpy's overflow warnings are
-    silenced so that the likelihood's own check is reached.
+    sum of their squared residuals overflows.  The likelihood's own check
+    decides, whatever numpy's error settings.
     """
 
     @pytest.fixture
@@ -239,11 +239,6 @@ class TestVarianceOverflow:
         refs = [ReferenceSet(label, 2e153 * rng.standard_normal((200, 2))) for label in "ab"]
         return refs, 2e153 * rng.standard_normal(2)
 
-    @pytest.fixture(autouse=True)
-    def quiet(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            yield
-
     def test_vector_and_block_rejected(self, rng, refs_and_query):
         stack = distance_stack(refs_and_query[1], refs_and_query[0])
         assert np.isfinite(stack.values).all()
@@ -251,6 +246,11 @@ class TestVarianceOverflow:
         for d in (stack.values[0], block):
             with pytest.raises(ValidationError, match="variance overflows"):
                 log_likelihood_ratio(d)
+
+    def test_rejected_when_numpy_raises(self):
+        with np.errstate(all="raise"):
+            with pytest.raises(ValidationError, match="variance overflows"):
+                log_likelihood_ratio(np.array([0.0, 1e300, 1.0]))
 
     def test_posterior_and_belief_rows_rejected(self, refs_and_query):
         refs, query = refs_and_query

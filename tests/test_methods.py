@@ -133,3 +133,20 @@ class TestRowConsistency:
         for name in ("bayes-full", "baseline-fusion"):
             with pytest.raises(ValidationError, match="one selection over 3 sets"):
                 resolve_method(name, LABELS).fuse(stack, select_single(other, 1))
+
+    @pytest.mark.parametrize(
+        "selected",
+        [
+            np.ones((2, 3), dtype=bool),  # two queries' masks for one query
+            np.ones((1, 2), dtype=bool),  # a mask over another stack's sets
+            np.ones(3, dtype=bool),  # one query's mask without its query axis
+            np.ones((1, 3), dtype=np.int64),  # indices, not a mask
+        ],
+    )
+    def test_fuse_rows_rejects_a_mask_that_is_not_queries_by_sets(self, rng, selected):
+        values = random_stack(rng).values[None]
+        for name in ("bayes-full", "baseline-fusion"):
+            with pytest.raises(
+                ValidationError, match="need one selection over 3 sets per query, for 1 queries"
+            ):
+                resolve_method(name, LABELS).fuse_rows(values, selected)

@@ -124,3 +124,37 @@ class TestForcedSelections:
         assert sel.best == 2
         with pytest.raises(ValidationError):
             select_single(stack, 3)
+
+
+class TestMask:
+    """``mask`` holds one bool per set of the stack, True exactly where selected."""
+
+    def test_gamma(self):
+        sel = select_references(stack_with_minima([1.00, 1.03, 1.20]), gamma=0.04)
+        assert sel.mask.dtype == bool
+        np.testing.assert_array_equal(sel.mask, [True, True, False])
+
+    def test_zero_limit(self):
+        stack = DistanceStack(np.array([[0.0, 1.0], [0.5, 0.7], [0.0, 2.0]]))
+        sel = select_references(stack)
+        assert sel.zero_limit
+        np.testing.assert_array_equal(sel.mask, [True, False, True])
+
+    def test_all(self, rng):
+        np.testing.assert_array_equal(select_all(random_stack(rng, n_refs=4)).mask, [True] * 4)
+
+    def test_single(self, rng):
+        np.testing.assert_array_equal(
+            select_single(random_stack(rng, n_refs=3), 1).mask, [False, True, False]
+        )
+
+    def test_every_rule_on_random_stacks(self, rng):
+        for _ in range(30):
+            stack = random_stack(rng)
+            for sel in (
+                select_references(stack, gamma=float(rng.uniform(0.01, 0.5))),
+                select_all(stack),
+                select_single(stack, int(rng.integers(stack.n_refs))),
+            ):
+                assert sel.mask.shape == (stack.n_refs,)
+                assert tuple(np.flatnonzero(sel.mask).tolist()) == sel.selected

@@ -23,6 +23,7 @@ from .evaluation import (
     evaluate_method,
     match_correct,
     pr_curve,
+    score_matrix,
 )
 from .fusion import (
     Belief,

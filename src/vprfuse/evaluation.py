@@ -130,7 +130,56 @@ class MethodEvaluation:
     decided: np.ndarray  # (queries,) bool, False where the query abstained
     correct: np.ndarray  # (queries,) bool, decided within the ground-truth tolerance
     curve: PRCurve
-    scores: ScoreMatrix
+
+
+def _scored_blocks(dataset: Dataset, method: Method, gamma: float):
+    """Yield ``(start, rows)``: the fused score rows of each block of queries.
+
+    Each query's distance stack and selection mask go into one preallocated
+    block, then ``Method.fuse_rows`` scores the whole block with one
+    likelihood pass per reference set.  A single-set method's stacks cover
+    its own set only.  Rows do not depend on the block size.
+    """
+    queries = dataset.queries
+    scorer, refs = _narrowed(method, dataset.refs)
+    # Sized by every set, also when narrowed: larger blocks of one-set stacks
+    # raise peak memory with their likelihood temporaries.
+    step = max(1, _BLOCK_BYTES // (8 * dataset.n_refs * dataset.n_places))
+    block = np.empty((min(step, queries.shape[0]), len(refs), dataset.n_places))
+    selected = np.empty(block.shape[:2], dtype=bool)
+    for start in range(0, queries.shape[0], step):
+        for j, q in enumerate(queries[start : start + step]):
+            stack = distance_stack(q, refs)
+            block[j] = stack.values
+            selected[j] = scorer.select(stack, gamma).mask
+        yield start, scorer.fuse_rows(block[: j + 1], selected[: j + 1])
+
+
+def score_matrix(
+    dataset: Dataset,
+    method: Method | str,
+    gamma: float = DEFAULT_GAMMA,
+    seq_len: int = 1,
+    seq_velocity: float = 1.0,
+) -> ScoreMatrix:
+    """One method's (queries x places) score rows, scored a block at a time.
+
+    ``seq_len`` > 1 aggregates the rows over trailing windows (one more
+    matrix); a window that ``sequence_aggregate`` would reject raises
+    ValidationError before any query is scored.
+    """
+    if isinstance(method, str):
+        method = resolve_method(method, [r.label for r in dataset.refs])
+    if seq_len != 1:
+        _check_window(seq_len, dataset.queries.shape[0], seq_velocity)
+    rows = np.empty((dataset.queries.shape[0], dataset.n_places))
+    for start, block in _scored_blocks(dataset, method, gamma):
+        rows[start : start + block.shape[0]] = block
+    # Finite by construction (fusion raises where a likelihood overflows), so unchecked.
+    matrix = _assembled(ScoreMatrix, scores=rows, method=method.name)
+    if seq_len != 1:
+        matrix = sequence_aggregate(matrix, seq_len, seq_velocity)
+    return matrix
 
 
 def evaluate_method(
@@ -142,48 +191,35 @@ def evaluate_method(
 ) -> MethodEvaluation:
     """Run one method over every query and build its precision-recall curve.
 
-    Queries are scored a block at a time: each query's distance stack and
-    selection mask go into one preallocated block, then ``Method.fuse_rows``
-    scores the whole block with one likelihood pass per reference set.  A single-set method's stacks cover its own set only.
-    Rows do not depend on the block size.  ``seq_len`` > 1 aggregates the
-    score matrix over trailing windows (one more matrix) before deciding; a
-    window that ``sequence_aggregate`` would reject raises ValidationError
-    before any query is scored.  Queries are decided in one array pass: each
-    row's first argmax and its score there.  A row without contrast (every
-    place scored alike, e.g. the uniform prior when every selected set is
-    degenerate) carries no information, so with more than one place that
-    query abstains.
+    Each query is decided from its score row: the row's first argmax and
+    its score there.  A row without contrast (every place scored alike,
+    e.g. the uniform prior when every selected set is degenerate) carries
+    no information, so with more than one place that query abstains.  At
+    ``seq_len`` 1 each block of rows is decided as it is scored, so no
+    (queries x places) matrix is held; at ``seq_len`` > 1 the rows of
+    ``score_matrix`` are decided, since a window reads earlier rows.
+    ``score_matrix`` returns the rows themselves.
     """
     if isinstance(method, str):
         method = resolve_method(method, [r.label for r in dataset.refs])
-    queries = dataset.queries
-    if seq_len != 1:
-        _check_window(seq_len, queries.shape[0], seq_velocity)
-    scorer, refs = _narrowed(method, dataset.refs)
-    # Sized by every set, also when narrowed: larger blocks of one-set stacks
-    # raise peak memory with their likelihood temporaries.
-    step = max(1, _BLOCK_BYTES // (8 * dataset.n_refs * dataset.n_places))
-    block = np.empty((min(step, queries.shape[0]), len(refs), dataset.n_places))
-    selected = np.empty(block.shape[:2], dtype=bool)
-    rows = np.empty((queries.shape[0], dataset.n_places))
-    for start in range(0, queries.shape[0], step):
-        for j, q in enumerate(queries[start : start + step]):
-            stack = distance_stack(q, refs)
-            block[j] = stack.values
-            selected[j] = scorer.select(stack, gamma).mask
-        rows[start : start + step] = scorer.fuse_rows(block[: j + 1], selected[: j + 1])
-    # Finite by construction (fusion raises where a likelihood overflows), so unchecked.
-    matrix = _assembled(ScoreMatrix, scores=rows, method=method.name)
-    if seq_len != 1:
-        matrix = sequence_aggregate(matrix, seq_len, seq_velocity)
-    places = matrix.scores.argmax(axis=1)
-    confidences = np.take_along_axis(matrix.scores, places[:, None], axis=1)[:, 0]
-    decided = (confidences != matrix.scores.min(axis=1)) | (dataset.n_places == 1)
+    if seq_len == 1:
+        blocks = _scored_blocks(dataset, method, gamma)
+    else:
+        blocks = [(0, score_matrix(dataset, method, gamma, seq_len, seq_velocity).scores)]
+    n_queries = dataset.queries.shape[0]
+    places = np.empty(n_queries, dtype=np.intp)
+    confidences = np.empty(n_queries)
+    decided = np.empty(n_queries, dtype=bool)
+    for start, rows in blocks:
+        at = slice(start, start + rows.shape[0])
+        places[at] = rows.argmax(axis=1)
+        confidences[at] = np.take_along_axis(rows, places[at, None], axis=1)[:, 0]
+        decided[at] = (confidences[at] != rows.min(axis=1)) | (dataset.n_places == 1)
     truth = dataset.ground_truth
     correct = decided & (np.abs(places - truth.true_place) <= truth.tolerance)
     return MethodEvaluation(
         places=places, confidences=confidences, decided=decided, correct=correct,
-        curve=pr_curve(confidences, decided, correct), scores=matrix,
+        curve=pr_curve(confidences, decided, correct),
     )
 
 

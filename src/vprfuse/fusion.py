@@ -118,6 +118,8 @@ def posterior(
         raise ValidationError(
             f"selection covers {selected.shape[0]} sets, stack has {stack.n_refs}"
         )
+    if not selected.any():
+        raise ValidationError("selection must hold at least one set")
     with np.errstate(divide="ignore"):  # one-hot priors contain zeros
         log_prior = np.log(prior)
     log_scores, used = fused_log_scores(stack.values[None], selected[None], log_prior)

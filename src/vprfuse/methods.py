@@ -70,14 +70,17 @@ class Method:
         """Score rows of a block of queries, one row per query.
 
         ``values`` stacks the queries' (sets, places) distances and
-        ``selected`` is their (queries, sets) bool selection mask.  Every row
-        is bit-identical to the query scored alone.
+        ``selected`` is their (queries, sets) bool selection mask, with at
+        least one set per query.  Every row is bit-identical to the query
+        scored alone.
         """
         if selected.dtype != bool or selected.shape != values.shape[:2]:
             raise ValidationError(
                 f"need one selection over {values.shape[1]} sets per query, "
                 f"for {values.shape[0]} queries"
             )
+        if not selected.any(axis=1).all():
+            raise ValidationError("every query must select at least one set")
         if self.kind == BELIEF:
             log_prior = np.log(uniform_prior(values.shape[2]))
             # A query whose selected sets are all degenerate keeps the log

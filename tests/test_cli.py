@@ -207,9 +207,10 @@ class TestEval:
         assert single[0] == 0
         assert overflow == single
 
-    @pytest.mark.parametrize("seq_len, bound", [(1, 1.5), (5, 2.5)])
+    @pytest.mark.parametrize("seq_len, bound", [(1, 0.5), (5, 2.5)])
     def test_peak_memory_in_score_matrices(self, capsys, tmp_path, seq_len, bound):
-        """One method's score matrix is alive at a time, plus its window means.
+        """At length 1 eval holds blocks of rows, never a whole score matrix;
+        above it, one method's matrix is alive at a time, plus its window means.
 
         At 1000 queries x 1000 places one float64 matrix is 8 MB, far above
         the dataset and the block temporaries.

@@ -18,6 +18,7 @@ from vprfuse import (
     generate_synthetic,
     match_correct,
     pr_curve,
+    score_matrix,
     sequence_aggregate,
 )
 from vprfuse.errors import ValidationError
@@ -208,7 +209,7 @@ class TestEvaluateMethod:
         result = evaluate_method(ds, "bayes-selective")
         for values in (result.places, result.confidences, result.decided, result.correct):
             assert values.shape == (40,)
-        assert result.scores.n_queries == 40
+        assert score_matrix(ds, "bayes-selective").n_queries == 40
 
     def test_information_free_queries_abstain(self, rng):
         """Sets whose rows are all identical score every place alike."""
@@ -253,7 +254,10 @@ class TestEvaluateMethod:
         # Length 1 ignores the velocity, even one no window would accept.
         single = evaluate_method(ds, "bayes-selective", seq_len=1, seq_velocity=-1.0)
         explicit = evaluate_method(ds, "bayes-selective")
-        np.testing.assert_array_equal(single.scores.scores, explicit.scores.scores)
+        np.testing.assert_array_equal(
+            score_matrix(ds, "bayes-selective", seq_len=1, seq_velocity=-1.0).scores,
+            score_matrix(ds, "bayes-selective").scores,
+        )
         assert single.curve.auc == explicit.curve.auc
 
     @pytest.mark.parametrize(
@@ -286,6 +290,21 @@ class TestEvaluateMethod:
         assert result.curve.auc == 1.0
 
 
+def decisions(result):
+    """evaluate_method's (place, confidence, correct) per query, as records_oracle
+    gives them: (None, confidence, None) where the query abstained."""
+    assert not result.correct[~result.decided].any()
+    return [
+        (place, confidence, ok) if issued else (None, confidence, None)
+        for place, confidence, issued, ok in zip(
+            result.places.tolist(),
+            result.confidences.tolist(),
+            result.decided.tolist(),
+            result.correct.tolist(),
+        )
+    ]
+
+
 class TestRecordPass:
     """Queries are decided in one array pass; a per-row loop is the reference."""
 
@@ -301,16 +320,7 @@ class TestRecordPass:
         )
         monkeypatch.setattr(Method, "fuse_rows", lambda self, values, selected: scores)
         monkeypatch.setattr("vprfuse.evaluation._BLOCK_BYTES", 8 * n_q * n_p)  # one block
-        result = evaluate_method(ds, "bayes-full")
-        got = [
-            (place, confidence, ok) if issued else (None, confidence, None)
-            for place, confidence, issued, ok in zip(
-                result.places.tolist(),
-                result.confidences.tolist(),
-                result.decided.tolist(),
-                result.correct.tolist(),
-            )
-        ]
+        got = decisions(evaluate_method(ds, "bayes-full"))
         assert got == records_oracle(scores, truth.true_place, tolerance)
         return got, truth
 
@@ -380,10 +390,9 @@ class TestFusingRowOracle:
     def test_rows_match_the_oracle_and_the_auc_is_frozen(self, fusing, name):
         ds, distances, ratios = fusing
         kind, rule, frozen = _FUSING_METHODS[name]
-        result = evaluate_method(ds, name)
         want = fused_rows_oracle(distances, ratios, kind, rule, gamma=0.04)
-        np.testing.assert_allclose(result.scores.scores, want, rtol=1e-12, atol=1e-13)
-        assert result.curve.auc == pytest.approx(frozen, abs=1e-6)
+        np.testing.assert_allclose(score_matrix(ds, name).scores, want, rtol=1e-12, atol=1e-13)
+        assert evaluate_method(ds, name).curve.auc == pytest.approx(frozen, abs=1e-6)
 
 
 class TestBenchQuery:
@@ -412,21 +421,51 @@ class TestBlockScoring:
     def test_results_do_not_depend_on_the_block_size(self, monkeypatch, seq_len):
         ds = generate_synthetic(seed=7, n_places=30, n_conditions=3, dim=6, condition_scale=0.15)
         per_query = 8 * ds.n_refs * ds.n_places
-        results = {}
+        results, rows = {}, {}
         # Blocks of 1, 2, 7 (30 = 4 x 7 + 2, a remainder) and all 30 queries.
         for queries in (1, 2, 7, 30):
             monkeypatch.setattr("vprfuse.evaluation._BLOCK_BYTES", queries * per_query)
+            methods = expand_methods("all", ds.labels)
             results[queries] = [
-                evaluate_method(ds, m, gamma=0.1, seq_len=seq_len)
-                for m in expand_methods("all", ds.labels)
+                evaluate_method(ds, m, gamma=0.1, seq_len=seq_len) for m in methods
+            ]
+            rows[queries] = [
+                score_matrix(ds, m, gamma=0.1, seq_len=seq_len).scores for m in methods
             ]
         for queries in (2, 7, 30):
+            for got_rows, want_rows in zip(rows[queries], rows[1]):
+                np.testing.assert_array_equal(got_rows, want_rows)
             for got, want in zip(results[queries], results[1]):
-                np.testing.assert_array_equal(got.scores.scores, want.scores.scores)
                 for field in ("places", "confidences", "decided", "correct"):
                     np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
                 np.testing.assert_array_equal(got.curve.thresholds, want.curve.thresholds)
                 assert got.curve.points == want.curve.points
+
+    @pytest.mark.parametrize("seq_len", [1, 3])
+    @pytest.mark.parametrize("queries", [1, 2, 7, 30])
+    def test_decisions_equal_the_records_oracle_on_the_rows(self, monkeypatch, queries, seq_len):
+        """Blocks are decided as they are scored; the whole rows are the reference."""
+        synth = generate_synthetic(
+            seed=7, n_places=30, n_conditions=3, dim=6, condition_scale=0.15, gt_tolerance=1
+        )
+        # A set whose rows are all alike is degenerate for every query: its
+        # single-set methods abstain, and selections that hold it alone fall
+        # back to the prior.
+        flat = ReferenceSet("flat", np.tile(synth.refs[0].descriptors[0], (30, 1)))
+        ds = Dataset([*synth.refs, flat], synth.queries, synth.ground_truth)
+        per_query = 8 * ds.n_refs * ds.n_places
+        monkeypatch.setattr("vprfuse.evaluation._BLOCK_BYTES", queries * per_query)
+        truth = ds.ground_truth
+        abstained = 0
+        for method in expand_methods("all", ds.labels):
+            rows = score_matrix(ds, method, gamma=0.1, seq_len=seq_len).scores
+            result = evaluate_method(ds, method, gamma=0.1, seq_len=seq_len)
+            want = records_oracle(rows, truth.true_place, truth.tolerance)
+            assert decisions(result) == want, method.name
+            abstained += sum(place is None for place, _, _ in want)
+        # The flat set's two single-set methods abstain on every query, until
+        # windows average rows of different queries.
+        assert abstained >= (60 if seq_len == 1 else 1)
 
 
 def _stack_spy(monkeypatch):
@@ -465,9 +504,9 @@ class TestNarrowing:
             )
             if seq_len != 1:
                 want = sequence_aggregate(want, seq_len, 1.0)
-            got = evaluate_method(ds, method, seq_len=seq_len)
-            assert got.scores.method == method.name
-            np.testing.assert_array_equal(got.scores.scores, want.scores)
+            got = score_matrix(ds, method, seq_len=seq_len)
+            assert got.method == method.name
+            np.testing.assert_array_equal(got.scores, want.scores)
 
     def test_single_set_methods_stack_their_own_set(self, ds, monkeypatch):
         sets = _stack_spy(monkeypatch)

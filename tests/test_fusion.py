@@ -112,6 +112,12 @@ class TestPosterior:
         with pytest.raises(NoInformationError):
             posterior(stack, select_all(stack), uniform_prior(8))
 
+    def test_empty_selection_rejected(self, rng):
+        stack = random_stack(rng)
+        empty = SelectionResult(best=0, selected=(), minima=stack.minima())
+        with pytest.raises(ValidationError, match="selection must hold at least one set"):
+            posterior(stack, empty, uniform_prior(30))
+
     def test_selection_from_other_stack_rejected(self, rng):
         stack = random_stack(rng, n_refs=3)
         other = random_stack(rng, n_refs=2)

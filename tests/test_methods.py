@@ -150,3 +150,10 @@ class TestRowConsistency:
                 ValidationError, match="need one selection over 3 sets per query, for 1 queries"
             ):
                 resolve_method(name, LABELS).fuse_rows(values, selected)
+
+    @pytest.mark.parametrize("name", ["bayes-full", "baseline-fusion"])  # one per kind
+    def test_fuse_rows_rejects_a_query_that_selects_no_set(self, rng, name):
+        values = np.stack([random_stack(rng).values for _ in range(2)])
+        selected = np.array([[True, False, True], [False, False, False]])
+        with pytest.raises(ValidationError, match="every query must select at least one set"):
+            resolve_method(name, LABELS).fuse_rows(values, selected)

@@ -15,13 +15,13 @@ import numpy as np
 from .distance import distance_stack
 from .errors import NoInformationError, ValidationError, VPRFuseError
 from .evaluation import TimingReport, bench_query, evaluate_method
-from .fusion import decide, posterior, uniform_prior
+from .fusion import _decided, decide, posterior, uniform_prior
 from .ingest import (
     Dataset,
     DatasetManifest,
+    _read_rows,
     generate_synthetic,
     load_dataset,
-    read_descriptor_file,
     write_descriptor_file,
     write_ground_truth,
     write_manifest,
@@ -129,7 +129,7 @@ def cmd_match(args: argparse.Namespace) -> int:
             f"--threshold must lie in (0, 1), got {args.threshold}"
         )
     dataset = load_dataset(args.manifest)
-    query = read_descriptor_file(args.query_file)
+    query, _ = _read_rows(args.query_file, dataset.dim)
     if query.shape[0] != 1:
         raise ValidationError(
             f"match expects a single-descriptor query file, got {query.shape[0]} rows"
@@ -142,7 +142,7 @@ def cmd_match(args: argparse.Namespace) -> int:
     print("reference minima:")
     for u, label in enumerate(dataset.labels):
         tags = []
-        if u in selection.selected:
+        if selection.mask[u]:
             tags.append("selected")
         if u == selection.best:
             tags.append("best")
@@ -161,29 +161,29 @@ def cmd_match(args: argparse.Namespace) -> int:
             return 0
         if belief.dropped:
             print(f"dropped degenerate sets: {list(belief.dropped)}")
-        top = np.argsort(-belief.normalized, kind="stable")[:5]
+        row = belief.normalized
         print("top beliefs:")
-        for i in top:
-            print(f"  place {int(i)}: {_fmt(belief.normalized[i])}")
-        decision = decide(belief, args.threshold)
-        if decision.matched:
-            print(
-                f"decision: place={decision.place} "
-                f"confidence={_fmt(decision.confidence)} threshold={_fmt(args.threshold)}"
-            )
-        else:
-            print(
-                f"decision: no match (max belief {_fmt(decision.confidence)} "
-                f"<= threshold {_fmt(args.threshold)})"
-            )
     else:
         row = method.fuse(stack, selection)
-        top = np.argsort(-row, kind="stable")[:5]
         print("top scores (negative mean distance):")
-        for i in top:
-            print(f"  place {int(i)}: {_fmt(row[i])}")
-        place = int(np.argmax(row))
-        print(f"decision: place={place} confidence={_fmt(row[place])}")
+    for i in np.argsort(-row, kind="stable")[:5]:
+        print(f"  place {int(i)}: {_fmt(row[i])}")
+    place, score, decides = _decided(row)
+    if not decides:
+        print(f"no-information: all {row.size} places score {_fmt(score)}")
+        print("decision: none")
+    elif method.kind != "belief":
+        print(f"decision: place={place} confidence={_fmt(score)}")
+    elif decide(belief, args.threshold).matched:
+        print(
+            f"decision: place={place} "
+            f"confidence={_fmt(score)} threshold={_fmt(args.threshold)}"
+        )
+    else:
+        print(
+            f"decision: no match (max belief {_fmt(score)} "
+            f"<= threshold {_fmt(args.threshold)})"
+        )
     return 0
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .distance import distance_stack
 from .errors import ValidationError
+from .fusion import _decided
 from .ingest import Dataset, ReferenceSet, _assembled
 from .methods import Method, resolve_method
 from .selection import DEFAULT_GAMMA
@@ -191,10 +192,10 @@ def evaluate_method(
 ) -> MethodEvaluation:
     """Run one method over every query and build its precision-recall curve.
 
-    Each query is decided from its score row: the row's first argmax and
-    its score there.  A row without contrast (every place scored alike,
-    e.g. the uniform prior when every selected set is degenerate) carries
-    no information, so with more than one place that query abstains.  At
+    Each query is decided from its score row by ``fusion._decided``: the
+    row's first argmax and its score there.  A row without contrast (every
+    place scored alike, e.g. the uniform prior when every selected set is
+    degenerate) carries no information, so that query abstains.  At
     ``seq_len`` 1 each block of rows is decided as it is scored, so no
     (queries x places) matrix is held; at ``seq_len`` > 1 the rows of
     ``score_matrix`` are decided, since a window reads earlier rows.
@@ -212,9 +213,7 @@ def evaluate_method(
     decided = np.empty(n_queries, dtype=bool)
     for start, rows in blocks:
         at = slice(start, start + rows.shape[0])
-        places[at] = rows.argmax(axis=1)
-        confidences[at] = np.take_along_axis(rows, places[at, None], axis=1)[:, 0]
-        decided[at] = (confidences[at] != rows.min(axis=1)) | (dataset.n_places == 1)
+        places[at], confidences[at], decided[at] = _decided(rows)
     truth = dataset.ground_truth
     correct = decided & (np.abs(places - truth.true_place) <= truth.tolerance)
     return MethodEvaluation(

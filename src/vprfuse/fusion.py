@@ -134,17 +134,27 @@ def posterior(
     )
 
 
+def _decided(rows: np.ndarray):
+    """Each score row's first argmax, its score there, and whether the row decides.
+
+    The one decision rule of ``decide``, ``evaluate_method`` and ``match``.
+    A row decides when it has contrast (its maximum exceeds its minimum) or
+    when there is only one place: a row that scores every place alike
+    carries no information.  Takes one row or a (rows, places) block.
+    """
+    places = rows.argmax(axis=-1)
+    scores = np.take_along_axis(rows, np.expand_dims(places, -1), axis=-1)[..., 0]
+    return places, scores, (scores != rows.min(axis=-1)) | (rows.shape[-1] == 1)
+
+
 def decide(belief: Belief, h: float) -> PlaceDecision:
     """Match the maximum-belief place if its belief strictly exceeds h.
 
     Argmax ties break toward the lowest place index; a belief exactly equal
-    to h abstains.
+    to h, or a belief without contrast over several places, abstains.
     """
     if not (h > 0):
         raise ValidationError(f"decision threshold must be positive, got {h}")
-    place = int(np.argmax(belief.normalized))
-    confidence = float(belief.normalized[place])
-    return PlaceDecision(
-        place=place if confidence > h else None,
-        confidence=confidence,
-    )
+    place, confidence, decides = _decided(belief.normalized)
+    matched = bool(decides) and confidence > h
+    return PlaceDecision(place=int(place) if matched else None, confidence=float(confidence))

@@ -93,14 +93,13 @@ def log_likelihood_ratio(d: np.ndarray) -> np.ndarray:
     DegenerateReferenceError, a block row comes back as NaN.  A variance
     that overflows float64 raises ValidationError.  Other rows are finite.
     """
-    arr = _distance_rows(d)
-    rows = arr.reshape(-1, arr.shape[-1])
-    counts = place_match_counts(rows)
+    counts = place_match_counts(d)  # also the entry check of ``d``
+    rows = np.asarray(d, dtype=np.float64).reshape(-1, counts.shape[-1])
     fit = gaussian_params(rows)
     if not np.isfinite(fit.sigma2).all():
         raise ValidationError("distance variance overflows float64")
     usable = fit.sigma2 > SIGMA2_MIN
-    if arr.ndim == 1 and not usable[0]:
+    if counts.ndim == 1 and not usable[0]:
         raise DegenerateReferenceError(
             f"distance variance {fit.sigma2[0]:.3e} below {SIGMA2_MIN:.0e}"
         )
@@ -112,4 +111,4 @@ def log_likelihood_ratio(d: np.ndarray) -> np.ndarray:
     log_pdf = norm[:, None] - resid * resid / (2.0 * sigma2[:, None])
     ratio = np.log(counts) - log_pdf
     ratio[~usable] = np.nan
-    return ratio.reshape(arr.shape)
+    return ratio.reshape(counts.shape)

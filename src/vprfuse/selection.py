@@ -23,27 +23,24 @@ DEFAULT_GAMMA = 0.04
 class SelectionResult:
     """Outcome of reference-set selection for one query.
 
-    ``best`` is always a member of ``selected``.  ``zero_limit`` marks the
-    limit interpretation used when the best minimum is exactly zero (the
-    relative criterion is then undefined and exactly the zero-minimum sets
-    are kept).
+    ``mask`` holds one bool per set of the stack, True where selected;
+    ``best`` is always selected.  ``zero_limit`` marks the limit
+    interpretation used when the best minimum is exactly zero (the relative
+    criterion is then undefined and exactly the zero-minimum sets are kept).
     """
 
     best: int
-    selected: tuple[int, ...]
+    mask: np.ndarray
     minima: np.ndarray = field(repr=False)
     zero_limit: bool = False
 
     @property
-    def n_selected(self) -> int:
-        return len(self.selected)
+    def selected(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.mask).tolist())
 
     @property
-    def mask(self) -> np.ndarray:
-        """One bool per set of the stack this selection was made from, True where selected."""
-        mask = np.zeros(self.minima.shape[0], dtype=bool)
-        mask[list(self.selected)] = True
-        return mask
+    def n_selected(self) -> int:
+        return int(np.count_nonzero(self.mask))
 
 
 def select_references(stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> SelectionResult:
@@ -57,7 +54,7 @@ def select_references(stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> Sel
     keep = minima == 0.0 if zero_limit else (minima - floor) / floor <= gamma
     return SelectionResult(
         best=best,
-        selected=tuple(np.flatnonzero(keep).tolist()),
+        mask=keep,
         minima=minima,
         zero_limit=zero_limit,
     )
@@ -68,7 +65,7 @@ def select_all(stack: DistanceStack) -> SelectionResult:
     minima = stack.minima()
     return SelectionResult(
         best=int(np.argmin(minima)),
-        selected=tuple(range(stack.n_refs)),
+        mask=np.ones(stack.n_refs, dtype=bool),
         minima=minima,
     )
 
@@ -81,6 +78,6 @@ def select_single(stack: DistanceStack, index: int) -> SelectionResult:
         )
     return SelectionResult(
         best=index,
-        selected=(index,),
+        mask=np.arange(stack.n_refs) == index,
         minima=stack.minima(),
     )

@@ -7,6 +7,7 @@ import pytest
 
 from vprfuse import (
     distance_vector,
+    ingest,
     load_dataset,
     read_descriptor_file,
     write_descriptor_file,
@@ -266,7 +267,8 @@ class TestMatch:
         assert "selected sets:" in stdout
         assert "top beliefs:" in stdout
 
-    def test_degenerate_dataset_reports_no_information(self, capsys, tmp_path):
+    @pytest.mark.parametrize("method", ["bayes-selective", "baseline-fusion", "min-value:a"])
+    def test_degenerate_dataset_reports_no_information(self, capsys, tmp_path, method):
         # constant descriptors per set: every distance vector has zero variance
         data = tmp_path / "flat"
         data.mkdir()
@@ -282,10 +284,11 @@ class TestMatch:
         write_descriptor_file(qf, np.ones((1, 4), np.float32))
         code, stdout, err = run(
             capsys, "match", "--manifest", str(data / "manifest.txt"),
-            "--query", str(qf),
+            "--query", str(qf), "--method", method,
         )
         assert code == 0, err
         assert "no-information" in stdout
+        assert stdout.endswith("decision: none\n")
 
     def test_mixed_condition_query_selects_subset(self, capsys, tmp_path):
         manifest = synth(
@@ -326,6 +329,24 @@ class TestMatch:
             capsys, "match", "--manifest", str(manifest), "--query", str(qf)
         )
         assert code != 0 and "single-descriptor" in err
+
+    def test_wrong_dimension_query_refused_from_its_header(self, capsys, tmp_path, monkeypatch):
+        manifest = synth(capsys, tmp_path / "data")
+        qf = tmp_path / "q.vprd"
+        write_descriptor_file(qf, np.zeros((1, 5), np.float32))
+
+        read_payload = ingest._float64_rows
+
+        def rows_of_dim_8(shape, *args):
+            assert shape[1] == 8, "read the payload of a query file of the wrong dimension"
+            return read_payload(shape, *args)
+
+        monkeypatch.setattr(ingest, "_float64_rows", rows_of_dim_8)
+        code, _, err = run(
+            capsys, "match", "--manifest", str(manifest), "--query", str(qf)
+        )
+        assert code == 2
+        assert f"{qf}: dimension 5, manifest says 8" in err
 
     def test_distance_method_report(self, capsys, tmp_path):
         manifest = synth(capsys, tmp_path / "data")

@@ -114,7 +114,7 @@ class TestPosterior:
 
     def test_empty_selection_rejected(self, rng):
         stack = random_stack(rng)
-        empty = SelectionResult(best=0, selected=(), minima=stack.minima())
+        empty = SelectionResult(best=0, mask=np.zeros(stack.n_refs, bool), minima=stack.minima())
         with pytest.raises(ValidationError, match="selection must hold at least one set"):
             posterior(stack, empty, uniform_prior(30))
 
@@ -163,6 +163,10 @@ class TestDecide:
     def test_boundary_is_strict(self):
         d = decide(belief_from([0.25, 0.25, 0.25, 0.25]), h=0.25)
         assert not d.matched
+
+    def test_belief_without_contrast_abstains(self):
+        d = decide(belief_from([0.25, 0.25, 0.25, 0.25]), h=0.1)
+        assert not d.matched and d.place is None and d.confidence == 0.25
 
     def test_argmax_tie_breaks_low(self):
         d = decide(belief_from([0.4, 0.4, 0.2]), h=0.1)
@@ -228,9 +232,7 @@ class TestBlockFusion:
         np.testing.assert_array_equal(used, want)
         for q in range(5):
             stack = DistanceStack(values[q])
-            sel = SelectionResult(
-                best=0, selected=tuple(np.flatnonzero(selected[q]).tolist()), minima=stack.minima()
-            )
+            sel = SelectionResult(best=0, mask=selected[q], minima=stack.minima())
             if q == 3:
                 with pytest.raises(NoInformationError):
                     posterior(stack, sel, prior)

@@ -218,6 +218,20 @@ class TestBlocks:
         np.testing.assert_array_equal(place_match_counts(block), [[1], [1]])
         assert np.isnan(log_likelihood_ratio(block)).all()
 
+    def test_ratio_checks_each_block_twice(self, rng, monkeypatch):
+        # Once at entry, in place_match_counts, and once in gaussian_params.
+        block = rng.uniform(0.5, 2.0, size=(21, 500))
+        isfinite = np.isfinite
+        shapes = []
+
+        def spy(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        log_likelihood_ratio(block)
+        assert shapes.count((21, 500)) == 2
+
     @pytest.mark.parametrize("bad", [np.ones((2, 2, 2)), np.empty((0, 3)), [[1.0, np.nan]]])
     def test_bad_blocks_rejected(self, bad):
         for fn in (place_match_counts, gaussian_params, log_likelihood_ratio):

@@ -13,11 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from .distance import distance_stack
-from .errors import NoInformationError, ValidationError, VPRFuseError
+from .errors import ValidationError, VPRFuseError
 from .evaluation import TimingReport, bench_query, evaluate_method
-from .fusion import _decided, decide, posterior, uniform_prior
+from .fusion import _decided
 from .ingest import (
-    Dataset,
     DatasetManifest,
     _read_rows,
     generate_synthetic,
@@ -152,29 +151,21 @@ def cmd_match(args: argparse.Namespace) -> int:
         print("note: best minimum is exactly zero; kept the zero-minimum sets")
     print(f"selected sets: {list(selection.selected)}")
 
-    if method.kind == "belief":
-        try:
-            belief = posterior(stack, selection, uniform_prior(stack.n_places))
-        except NoInformationError as exc:
-            print(f"no-information: {exc}")
-            print("decision: none")
-            return 0
-        if belief.dropped:
-            print(f"dropped degenerate sets: {list(belief.dropped)}")
-        row = belief.normalized
-        print("top beliefs:")
-    else:
-        row = method.fuse(stack, selection)
-        print("top scores (negative mean distance):")
+    rows, used = method._fused(stack.values[None], selection.mask[None])
+    row, dropped = rows[0], np.flatnonzero(selection.mask & ~used[0])
+    if dropped.size:
+        print(f"dropped degenerate sets: {dropped.tolist()}")
+    belief = method.kind == "belief"
+    print("top beliefs:" if belief else "top scores (negative mean distance):")
     for i in np.argsort(-row, kind="stable")[:5]:
         print(f"  place {int(i)}: {_fmt(row[i])}")
     place, score, decides = _decided(row)
     if not decides:
         print(f"no-information: all {row.size} places score {_fmt(score)}")
         print("decision: none")
-    elif method.kind != "belief":
+    elif not belief:
         print(f"decision: place={place} confidence={_fmt(score)}")
-    elif decide(belief, args.threshold).matched:
+    elif score > args.threshold:
         print(
             f"decision: place={place} "
             f"confidence={_fmt(score)} threshold={_fmt(args.threshold)}"

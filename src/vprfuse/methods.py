@@ -74,6 +74,13 @@ class Method:
         least one set per query.  Every row is bit-identical to the query
         scored alone.
         """
+        return self._fused(values, selected)[0]
+
+    def _fused(self, values: np.ndarray, selected: np.ndarray):
+        """``fuse_rows`` and the (queries, sets) mask of the sets that contributed.
+
+        A belief method leaves out each query's degenerate selected sets.
+        """
         if selected.dtype != bool or selected.shape != values.shape[:2]:
             raise ValidationError(
                 f"need one selection over {values.shape[1]} sets per query, "
@@ -85,12 +92,13 @@ class Method:
             log_prior = np.log(uniform_prior(values.shape[2]))
             # A query whose selected sets are all degenerate keeps the log
             # prior, a constant row whose softmax is exactly the uniform prior.
-            return _normalize_log_scores(fused_log_scores(values, selected, log_prior)[0])
+            log_scores, used = fused_log_scores(values, selected, log_prior)
+            return _normalize_log_scores(log_scores), used
         # Selected sets are summed from 0.0 in ascending order, as ``mean`` sums them.
         total = np.zeros((values.shape[0], values.shape[2]))
         for u in range(values.shape[1]):
             total[selected[:, u]] += values[selected[:, u], u]
-        return -(total / selected.sum(axis=1)[:, None])
+        return -(total / selected.sum(axis=1)[:, None]), selected
 
     def fuse(self, stack: DistanceStack, selection: SelectionResult) -> np.ndarray:
         """Score row for an already-computed selection: ``fuse_rows`` of one query."""

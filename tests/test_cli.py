@@ -7,6 +7,8 @@ import pytest
 
 from vprfuse import (
     distance_vector,
+    evaluate_method,
+    expand_methods,
     ingest,
     load_dataset,
     read_descriptor_file,
@@ -28,6 +30,11 @@ def synth(capsys, out_dir, *extra):
     )
     assert code == 0, err
     return out_dir / "manifest.txt"
+
+
+def _flat_rows(n_places, dim):
+    """Reference rows equal at every place: a set whose distances are constant."""
+    return np.tile(np.arange(dim, dtype=np.float32), (n_places, 1))
 
 
 class TestSynth:
@@ -289,6 +296,33 @@ class TestMatch:
         assert code == 0, err
         assert "no-information" in stdout
         assert stdout.endswith("decision: none\n")
+        if method.startswith("bayes"):
+            assert "dropped degenerate sets: [0, 1]\n" in stdout
+
+    @pytest.mark.parametrize("method", ["bayes-selective", "bayes-full", "bayes-single:0"])
+    def test_one_place_map_decides_place_0(self, capsys, tmp_path, method):
+        # the one distance of a set is degenerate, so the prior row decides, as in eval
+        manifest = synth(capsys, tmp_path / "one", "--places", "1", "--conditions", "2")
+        qf = self._query_file(tmp_path, manifest)
+        code, stdout, err = run(
+            capsys, "match", "--manifest", str(manifest), "--query", str(qf),
+            "--method", method,
+        )
+        assert code == 0, err
+        assert "decision: place=0 confidence=1 threshold=" in stdout
+
+    def test_constant_set_is_reported_dropped(self, capsys, tmp_path):
+        manifest = synth(capsys, tmp_path / "data", "--conditions", "2")
+        write_descriptor_file(manifest.parent / "ref_cond1.vprd", _flat_rows(40, 8))
+        qf = tmp_path / "q.vprd"
+        write_descriptor_file(qf, load_dataset(manifest).refs[0].descriptors[5:6])
+        code, stdout, err = run(
+            capsys, "match", "--manifest", str(manifest), "--query", str(qf),
+            "--method", "bayes-full",
+        )
+        assert code == 0, err
+        assert "selected sets: [0, 1]\ndropped degenerate sets: [1]\n" in stdout
+        assert "decision: place=5 " in stdout
 
     def test_mixed_condition_query_selects_subset(self, capsys, tmp_path):
         manifest = synth(
@@ -360,6 +394,38 @@ class TestMatch:
         ds = load_dataset(manifest)
         means = np.mean([distance_vector(ds.queries[0], ref) for ref in ds.refs], axis=0)
         assert f"decision: place={int(np.argmin(means))} " in stdout
+
+
+@pytest.mark.parametrize("gamma", ["0.04", "1e6"])
+@pytest.mark.parametrize("data", ["protocol", "one-flat-set", "all-flat-sets", "one-place"])
+def test_match_decides_as_eval(capsys, tmp_path, data, gamma):
+    """``match`` decides a place exactly where ``eval`` does, for every method."""
+    if data == "protocol":
+        manifest = synth(capsys, tmp_path, "--places", "500", "--dim", "24",
+                         "--seed", "0", "--mixture", "0.5,0.5,0")
+    elif data == "one-place":
+        manifest = synth(capsys, tmp_path, "--places", "1", "--conditions", "2")
+    else:
+        manifest = synth(capsys, tmp_path, "--places", "50", "--conditions", "2")
+        flat = ["ref_cond1.vprd"] + (["ref_cond0.vprd"] if data == "all-flat-sets" else [])
+        for name in flat:
+            write_descriptor_file(tmp_path / name, _flat_rows(50, 8))
+    ds = load_dataset(manifest)
+    qf = tmp_path / "q.vprd"
+    for method in expand_methods("all", ds.labels):
+        result = evaluate_method(ds, method, gamma=float(gamma))
+        for q in range(min(4, ds.queries.shape[0])):
+            write_descriptor_file(qf, ds.queries[q : q + 1])
+            code, stdout, err = run(
+                capsys, "match", "--manifest", str(manifest), "--query", str(qf),
+                "--method", method.name, "--gamma", gamma, "--threshold", "1e-9",
+            )
+            assert code == 0, err
+            last = stdout.splitlines()[-1]
+            if result.decided[q]:
+                assert last.startswith(f"decision: place={result.places[q]} "), (method.name, q)
+            else:
+                assert last == "decision: none", (method.name, q)
 
 
 class TestBench:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from statistics import median
 
 import numpy as np
 
@@ -133,27 +132,37 @@ class MethodEvaluation:
     curve: PRCurve
 
 
-def _scored_blocks(dataset: Dataset, method: Method, gamma: float):
+def _scored_blocks(refs: list[ReferenceSet], queries: np.ndarray, method: Method,
+                   gamma: float, phases: np.ndarray | None = None):
     """Yield ``(start, rows)``: the fused score rows of each block of queries.
 
     Each query's distance stack and selection mask go into one preallocated
     block, then ``Method.fuse_rows`` scores the whole block with one
     likelihood pass per reference set.  A single-set method's stacks cover
-    its own set only.  Rows do not depend on the block size.
+    its own set only.  Rows do not depend on the block size.  ``phases``, a
+    (queries, 3) array, gets each query's seconds in ``distance_stack``, in
+    its block copy plus ``Method.select``, and its share of ``fuse_rows``.
     """
-    queries = dataset.queries
-    scorer, refs = _narrowed(method, dataset.refs)
+    scorer, used = _narrowed(method, refs)
     # Sized by every set, also when narrowed: larger blocks of one-set stacks
     # raise peak memory with their likelihood temporaries.
-    step = max(1, _BLOCK_BYTES // (8 * dataset.n_refs * dataset.n_places))
-    block = np.empty((min(step, queries.shape[0]), len(refs), dataset.n_places))
+    step = max(1, _BLOCK_BYTES // (8 * len(refs) * refs[0].n_places))
+    block = np.empty((min(step, queries.shape[0]), len(used), refs[0].n_places))
     selected = np.empty(block.shape[:2], dtype=bool)
     for start in range(0, queries.shape[0], step):
         for j, q in enumerate(queries[start : start + step]):
-            stack = distance_stack(q, refs)
+            t0 = time.perf_counter()
+            stack = distance_stack(q, used)
+            t1 = time.perf_counter()
             block[j] = stack.values
             selected[j] = scorer.select(stack, gamma).mask
-        yield start, scorer.fuse_rows(block[: j + 1], selected[: j + 1])
+            if phases is not None:
+                phases[start + j, :2] = t1 - t0, time.perf_counter() - t1
+        t0 = time.perf_counter()
+        rows = scorer.fuse_rows(block[: j + 1], selected[: j + 1])
+        if phases is not None:
+            phases[start : start + j + 1, 2] = (time.perf_counter() - t0) / (j + 1)
+        yield start, rows
 
 
 def score_matrix(
@@ -174,7 +183,7 @@ def score_matrix(
     if seq_len != 1:
         _check_window(seq_len, dataset.queries.shape[0], seq_velocity)
     rows = np.empty((dataset.queries.shape[0], dataset.n_places))
-    for start, block in _scored_blocks(dataset, method, gamma):
+    for start, block in _scored_blocks(dataset.refs, dataset.queries, method, gamma):
         rows[start : start + block.shape[0]] = block
     # Finite by construction (fusion raises where a likelihood overflows), so unchecked.
     matrix = _assembled(ScoreMatrix, scores=rows, method=method.name)
@@ -204,7 +213,7 @@ def evaluate_method(
     if isinstance(method, str):
         method = resolve_method(method, [r.label for r in dataset.refs])
     if seq_len == 1:
-        blocks = _scored_blocks(dataset, method, gamma)
+        blocks = _scored_blocks(dataset.refs, dataset.queries, method, gamma)
     else:
         blocks = [(0, score_matrix(dataset, method, gamma, seq_len, seq_velocity).scores)]
     n_queries = dataset.queries.shape[0]
@@ -246,37 +255,23 @@ def bench_query(
 ) -> TimingReport:
     """Wall-clock per-query cost, split into distance / selection / fusion.
 
-    One warm-up query runs first; I/O is excluded.  Queries run one at a
-    time, each scored by ``Method.fuse``.  As in ``evaluate_method``, a
-    single-set method's distance phase covers its own set only.
+    The first ``n_queries`` queries run through ``evaluate_method``'s block
+    loop after one warm-up query, without I/O.  A query's total is the sum
+    of its phases, its fusion phase an equal share of its block's.
     """
     if repetitions < 1 or n_queries < 1:
         raise ValidationError("repetitions and n_queries must be >= 1")
     if isinstance(method, str):
         method = resolve_method(method, [r.label for r in dataset.refs])
-    queries = dataset.queries[: min(n_queries, dataset.queries.shape[0])]
-    scorer, refs = _narrowed(method, dataset.refs)
-
-    scorer.score_row(distance_stack(queries[0], refs), gamma)
-
-    samples: dict[str, list[float]] = {k: [] for k in TimingReport.PHASE_ORDER}
-    for _ in range(repetitions):
-        for q in queries:
-            t0 = time.perf_counter()
-            stack = distance_stack(q, refs)
-            t1 = time.perf_counter()
-            selection = scorer.select(stack, gamma)
-            t2 = time.perf_counter()
-            scorer.fuse(stack, selection)
-            t3 = time.perf_counter()
-            samples["distance"].append(t1 - t0)
-            samples["selection"].append(t2 - t1)
-            samples["fusion"].append(t3 - t2)
-            samples["total"].append(t3 - t0)
+    queries = dataset.queries[:n_queries]
+    next(_scored_blocks(dataset.refs, queries[:1], method, gamma))  # warm-up
+    times = np.empty((repetitions, queries.shape[0], 3))
+    for rep in times:
+        for _ in _scored_blocks(dataset.refs, queries, method, gamma, rep):
+            pass
+    times = times.reshape(-1, 3)
     phases = {
-        name: PhaseStats(mean_s=sum(vals) / len(vals), median_s=median(vals))
-        for name, vals in samples.items()
+        name: PhaseStats(mean_s=float(np.mean(v)), median_s=float(np.median(v)))
+        for name, v in zip(TimingReport.PHASE_ORDER, [*times.T, times.sum(axis=1)])
     }
-    return TimingReport(
-        method=method.name, phases=phases, n_samples=len(samples["total"])
-    )
+    return TimingReport(method=method.name, phases=phases, n_samples=times.shape[0])

@@ -158,7 +158,10 @@ def resolve_method(name: str, labels: Sequence[str]) -> Method:
             kind=_SINGLE_PREFIXES[prefix],
             rule=index,
         )
-    raise ValidationError(f"unknown method {name!r}; see 'all' for the roster")
+    forms = [*_FUSION_METHODS, *(f"{prefix}:<set>" for prefix in _SINGLE_PREFIXES)]
+    raise ValidationError(
+        f"unknown method {name!r}; use one of {', '.join(forms)} ('all' is accepted by eval only)"
+    )
 
 
 def expand_methods(name: str, labels: Sequence[str]) -> list[Method]:

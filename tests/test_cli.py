@@ -253,6 +253,28 @@ class TestEval:
         assert code != 0 and "error:" in err
 
 
+_ROSTER = (
+    "bayes-selective", "bayes-full", "baseline-fusion", "baseline-selective",
+    "bayes-single:<set>", "min-value:<set>",
+)
+
+
+@pytest.mark.parametrize("command, method", [("bench", "all"), ("match", "all"), ("eval", "bogus")])
+def test_unknown_method_names_the_roster(capsys, tmp_path, command, method):
+    manifest = synth(capsys, tmp_path / "data")
+    extra = []
+    if command == "match":
+        extra = ["--query", str(tmp_path / "q.vprd")]
+        write_descriptor_file(extra[1], load_dataset(manifest).queries[:1])
+    code, stdout, err = run(
+        capsys, command, "--manifest", str(manifest), "--method", method, *extra
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: unknown method {method!r}") and "Traceback" not in err
+    assert all(form in err for form in _ROSTER), err
+    assert "'all' is accepted by eval only" in err
+
+
 class TestMatch:
     def _query_file(self, tmp_path, manifest, index=0):
         ds = load_dataset(manifest)

@@ -408,7 +408,24 @@ class TestBenchQuery:
         report = bench_query(ds, repetitions=3, n_queries=5)
         total = report.phases["total"].mean_s
         parts = sum(report.phases[p].mean_s for p in ("distance", "selection", "fusion"))
-        assert parts == pytest.approx(total, rel=0.05)
+        assert parts == pytest.approx(total, rel=1e-9)
+
+    def test_fuses_in_eval_blocks(self, monkeypatch):
+        ds = generate_synthetic(seed=1, n_places=500, n_conditions=3, dim=8)
+        blocks = []
+        fuse_rows = Method.fuse_rows
+
+        def spy(self, values, selected):
+            blocks.append(values.shape[0])
+            return fuse_rows(self, values, selected)
+
+        def fuse(self, stack, selection):
+            raise AssertionError("bench must not fuse one query at a time")
+
+        monkeypatch.setattr(Method, "fuse_rows", spy)
+        monkeypatch.setattr(Method, "fuse", fuse)
+        bench_query(ds, "bayes-selective", repetitions=1, n_queries=50)
+        assert blocks == [1, 21, 21, 8]  # the warm-up query, then eval's blocks
 
     def test_invalid_parameters(self):
         ds = generate_synthetic(seed=1, n_places=5, n_conditions=1, dim=4)

@@ -26,7 +26,7 @@ from .ingest import (
     write_manifest,
 )
 from .methods import expand_methods, resolve_method
-from .selection import DEFAULT_GAMMA
+from .selection import DEFAULT_GAMMA, _check_gamma
 
 
 def _fmt(x: float) -> str:
@@ -151,7 +151,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         print("note: best minimum is exactly zero; kept the zero-minimum sets")
     print(f"selected sets: {list(selection.selected)}")
 
-    rows, used = method._fused(stack.values[None], selection.mask[None])
+    rows, used = method.fuse_rows(stack.values[None], selection.mask[None])
     row, dropped = rows[0], np.flatnonzero(selection.mask & ~used[0])
     if dropped.size:
         print(f"dropped degenerate sets: {dropped.tolist()}")
@@ -233,7 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--manifest", type=Path, required=True)
-    shared.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+    shared.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
+                        help="selection tolerance; must be positive for every method")
 
     evalp = sub.add_parser("eval", parents=[shared], help="precision-recall evaluation")
     evalp.add_argument("--method", default="bayes-selective", help="method name or 'all'")
@@ -266,6 +267,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_gamma(getattr(args, "gamma", DEFAULT_GAMMA))  # once, for every method
         return _COMMANDS[args.command](args)
     except (VPRFuseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

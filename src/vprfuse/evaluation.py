@@ -110,19 +110,6 @@ def pr_curve(confidences, decided, correct) -> PRCurve:
     return PRCurve(thresholds=conf[cutoffs], points=points)
 
 
-def _narrowed(method: Method, refs: list[ReferenceSet]) -> tuple[Method, list[ReferenceSet]]:
-    """The reference sets a method reads, and the method restated over them.
-
-    A single-set method reads only its own set, as set 0 of a one-set stack;
-    every other method reads every set.  The narrowed method's rows are
-    bit-identical, because a set's distance row does not depend on which
-    other sets share the stack.
-    """
-    if isinstance(method.rule, int) and 0 <= method.rule < len(refs):
-        return replace(method, rule=0), [refs[method.rule]]
-    return method, refs
-
-
 @dataclass
 class MethodEvaluation:
     places: np.ndarray  # (queries,) each score row's first argmax
@@ -143,7 +130,11 @@ def _scored_blocks(refs: list[ReferenceSet], queries: np.ndarray, method: Method
     (queries, 3) array, gets each query's seconds in ``distance_stack``, in
     its block copy plus ``Method.select``, and its share of ``fuse_rows``.
     """
-    scorer, used = _narrowed(method, refs)
+    scorer, used = method, refs
+    if isinstance(method.rule, int) and 0 <= method.rule < len(refs):
+        # Set 0 of a one-set stack: bit-identical rows, as a set's distance
+        # row does not depend on which other sets share the stack.
+        scorer, used = replace(method, rule=0), [refs[method.rule]]
     # Sized by every set, also when narrowed: larger blocks of one-set stacks
     # raise peak memory with their likelihood temporaries.
     step = max(1, _BLOCK_BYTES // (8 * len(refs) * refs[0].n_places))
@@ -159,7 +150,7 @@ def _scored_blocks(refs: list[ReferenceSet], queries: np.ndarray, method: Method
             if phases is not None:
                 phases[start + j, :2] = t1 - t0, time.perf_counter() - t1
         t0 = time.perf_counter()
-        rows = scorer.fuse_rows(block[: j + 1], selected[: j + 1])
+        rows, _ = scorer.fuse_rows(block[: j + 1], selected[: j + 1])
         if phases is not None:
             phases[start : start + j + 1, 2] = (time.perf_counter() - t0) / (j + 1)
         yield start, rows

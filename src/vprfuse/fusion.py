@@ -28,18 +28,6 @@ def uniform_prior(n_places: int) -> np.ndarray:
     return np.full(n_places, 1.0 / n_places)
 
 
-def _validated_prior(prior: np.ndarray, n_places: int) -> np.ndarray:
-    arr = np.asarray(prior, dtype=np.float64)
-    if arr.shape != (n_places,):
-        raise ValidationError(f"prior must have shape ({n_places},), got {arr.shape}")
-    if (arr < 0).any() or not np.isfinite(arr).all():
-        raise ValidationError("prior entries must be finite and non-negative")
-    total = arr.sum()
-    if abs(total - 1.0) > _PRIOR_SUM_TOL:
-        raise ValidationError(f"prior must sum to 1, got {total!r}")
-    return arr
-
-
 @dataclass(frozen=True)
 class Belief:
     """Posterior over places: unnormalized log scores plus their normalization."""
@@ -112,7 +100,14 @@ def posterior(
     likelihood is degenerate are recorded in ``dropped`` and excluded.
     This is the one-query case of ``fused_log_scores``.
     """
-    prior = _validated_prior(prior, stack.n_places)
+    prior = np.asarray(prior, dtype=np.float64)
+    if prior.shape != (stack.n_places,):
+        raise ValidationError(f"prior must have shape ({stack.n_places},), got {prior.shape}")
+    if (prior < 0).any() or not np.isfinite(prior).all():
+        raise ValidationError("prior entries must be finite and non-negative")
+    total = prior.sum()
+    if abs(total - 1.0) > _PRIOR_SUM_TOL:
+        raise ValidationError(f"prior must sum to 1, got {total!r}")
     selected = selection.mask
     if selected.shape[0] != stack.n_refs:
         raise ValidationError(

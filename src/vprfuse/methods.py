@@ -66,20 +66,15 @@ class Method:
             return select_all(stack)
         return select_single(stack, self.rule)
 
-    def fuse_rows(self, values: np.ndarray, selected: np.ndarray) -> np.ndarray:
-        """Score rows of a block of queries, one row per query.
+    def fuse_rows(self, values: np.ndarray, selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Score rows of a block of queries and the sets that contributed to them.
 
-        ``values`` stacks the queries' (sets, places) distances and
-        ``selected`` is their (queries, sets) bool selection mask, with at
-        least one set per query.  Every row is bit-identical to the query
-        scored alone.
-        """
-        return self._fused(values, selected)[0]
-
-    def _fused(self, values: np.ndarray, selected: np.ndarray):
-        """``fuse_rows`` and the (queries, sets) mask of the sets that contributed.
-
-        A belief method leaves out each query's degenerate selected sets.
+        ``values`` stacks the queries' (sets, places) distances and ``selected``
+        is their (queries, sets) bool selection mask, with at least one set per
+        query.  Returns the (queries, places) rows, each bit-identical to the
+        query scored alone, and the (queries, sets) mask of the sets used: a
+        belief method leaves out each query's degenerate selected sets.  Either
+        kind raises ValidationError on non-finite selected distances.
         """
         if selected.dtype != bool or selected.shape != values.shape[:2]:
             raise ValidationError(
@@ -96,13 +91,16 @@ class Method:
             return _normalize_log_scores(log_scores), used
         # Selected sets are summed from 0.0 in ascending order, as ``mean`` sums them.
         total = np.zeros((values.shape[0], values.shape[2]))
-        for u in range(values.shape[1]):
-            total[selected[:, u]] += values[selected[:, u], u]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for u in range(values.shape[1]):
+                total[selected[:, u]] += values[selected[:, u], u]
+        if not np.isfinite(total).all():
+            raise ValidationError("selected distances must be finite, with a finite sum")
         return -(total / selected.sum(axis=1)[:, None]), selected
 
     def fuse(self, stack: DistanceStack, selection: SelectionResult) -> np.ndarray:
         """Score row for an already-computed selection: ``fuse_rows`` of one query."""
-        return self.fuse_rows(stack.values[None], selection.mask[None])[0]
+        return self.fuse_rows(stack.values[None], selection.mask[None])[0][0]
 
     def score_row(self, stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
         return self.fuse(stack, self.select(stack, gamma))

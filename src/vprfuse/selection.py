@@ -43,10 +43,14 @@ class SelectionResult:
         return int(np.count_nonzero(self.mask))
 
 
-def select_references(stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> SelectionResult:
-    """Keep the sets whose minimum is within a relative fraction gamma of the best."""
+def _check_gamma(gamma: float) -> None:
     if not (gamma > 0):
         raise ValidationError(f"gamma must be positive, got {gamma}")
+
+
+def select_references(stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> SelectionResult:
+    """Keep the sets whose minimum is within a relative fraction gamma of the best."""
+    _check_gamma(gamma)
     minima = stack.minima()
     best = int(np.argmin(minima))
     floor = minima[best]

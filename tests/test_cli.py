@@ -275,6 +275,28 @@ def test_unknown_method_names_the_roster(capsys, tmp_path, command, method):
     assert "'all' is accepted by eval only" in err
 
 
+@pytest.mark.parametrize(
+    "command, method, gamma",
+    [
+        ("eval", "min-value:0", "-1"),
+        ("eval", "bayes-full", "nan"),
+        ("bench", "baseline-fusion", "-1"),
+        ("match", "bayes-full", "-1"),
+    ],
+)
+def test_gamma_is_checked_for_every_method(capsys, tmp_path, command, method, gamma):
+    """Also methods that never select by gamma refuse one that is not positive."""
+    manifest = synth(capsys, tmp_path)
+    qf = tmp_path / "q.vprd"
+    write_descriptor_file(qf, load_dataset(manifest).queries[:1])
+    extra = ["--query", str(qf)] if command == "match" else []
+    code, stdout, err = run(
+        capsys, command, "--manifest", str(manifest), "--method", method, "--gamma", gamma, *extra
+    )
+    assert code == 2 and stdout == ""
+    assert err == f"error: gamma must be positive, got {float(gamma)}\n"
+
+
 class TestMatch:
     def _query_file(self, tmp_path, manifest, index=0):
         ds = load_dataset(manifest)

@@ -318,7 +318,7 @@ class TestRecordPass:
             rng.standard_normal((n_q, 3)),
             truth,
         )
-        monkeypatch.setattr(Method, "fuse_rows", lambda self, values, selected: scores)
+        monkeypatch.setattr(Method, "fuse_rows", lambda self, values, selected: (scores, selected))
         monkeypatch.setattr("vprfuse.evaluation._BLOCK_BYTES", 8 * n_q * n_p)  # one block
         got = decisions(evaluate_method(ds, "bayes-full"))
         assert got == records_oracle(scores, truth.true_place, tolerance)

@@ -5,6 +5,7 @@ import pytest
 
 from vprfuse import (
     DistanceStack,
+    SelectionResult,
     expand_methods,
     posterior,
     resolve_method,
@@ -157,3 +158,43 @@ class TestRowConsistency:
         selected = np.array([[True, False, True], [False, False, False]])
         with pytest.raises(ValidationError, match="every query must select at least one set"):
             resolve_method(name, LABELS).fuse_rows(values, selected)
+
+    @pytest.mark.parametrize("name", ["bayes-full", "baseline-fusion"])  # one per kind
+    def test_fuse_rows_returns_the_rows_and_the_sets_used(self, rng, name):
+        values = np.stack([random_stack(rng).values for _ in range(3)])
+        values[1, 2] = 0.75  # query 1: selected set 2 is constant
+        selected = np.array([[True, False, True], [True, True, True], [False, True, False]])
+        method = resolve_method(name, LABELS)
+        rows, used = method.fuse_rows(values, selected)
+        want = selected.copy()
+        if method.kind == BELIEF:
+            want[1, 2] = False  # a belief method drops the degenerate set
+        np.testing.assert_array_equal(used, want)
+        assert rows.shape == (3, 20)
+        for q in range(3):
+            stack = DistanceStack(values[q])
+            sel = SelectionResult(best=0, mask=selected[q], minima=stack.minima())
+            np.testing.assert_array_equal(rows[q], method.fuse(stack, sel))
+
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            [[1.0, np.nan, 2.0], [1.0, 2.0, 3.0]],
+            [[1.0, np.inf, 2.0], [1.0, 2.0, 3.0]],
+            [[1.0, 1e308, 2.0], [1.0, 1e308, 3.0]],  # finite, but their sum overflows
+        ],
+    )
+    @pytest.mark.parametrize("name", ["bayes-full", "baseline-fusion"])  # one per kind
+    def test_fuse_rows_rejects_non_finite_selected_distances(self, name, stack):
+        values = np.array([stack])
+        with pytest.raises(ValidationError, match="finite|overflows"):
+            resolve_method(name, ["a", "b"]).fuse_rows(values, np.ones((1, 2), dtype=bool))
+
+    @pytest.mark.parametrize("name", ["bayes-full", "baseline-fusion"])  # one per kind
+    def test_fuse_rows_does_not_read_unselected_sets(self, name):
+        values = np.array([[[1.0, np.nan, 2.0], [1.0, 2.0, 3.0]]])
+        rows, used = resolve_method(name, ["a", "b"]).fuse_rows(
+            values, np.array([[False, True]])
+        )
+        assert np.isfinite(rows).all()
+        np.testing.assert_array_equal(used, [[False, True]])

@@ -25,7 +25,7 @@ from .ingest import (
     write_ground_truth,
     write_manifest,
 )
-from .methods import expand_methods, resolve_method
+from .methods import BELIEF, expand_methods, resolve_method
 from .selection import DEFAULT_GAMMA, _check_gamma
 
 
@@ -155,7 +155,7 @@ def cmd_match(args: argparse.Namespace) -> int:
     row, dropped = rows[0], np.flatnonzero(selection.mask & ~used[0])
     if dropped.size:
         print(f"dropped degenerate sets: {dropped.tolist()}")
-    belief = method.kind == "belief"
+    belief = method.kind == BELIEF
     print("top beliefs:" if belief else "top scores (negative mean distance):")
     for i in np.argsort(-row, kind="stable")[:5]:
         print(f"  place {int(i)}: {_fmt(row[i])}")

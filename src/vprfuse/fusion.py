@@ -4,8 +4,8 @@ Selected sets contribute independent log-likelihood-ratio terms, which are
 summed with the log prior and normalized (all in the log domain: the
 equivalent product over sets underflows in linear space at realistic place
 counts).  Degenerate sets are dropped from the sum rather than aborting the
-query; a query where every selected set is degenerate raises
-NoInformationError.
+query.  When every selected set of a query is degenerate, ``posterior``
+raises NoInformationError, while ``Method`` falls back to the prior row.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import DistanceStack
-from .errors import NoInformationError, ValidationError
+from .errors import NoInformationError, ValidationError, _real_array, checked_array
 from .likelihood import log_likelihood_ratio
 from .selection import SelectionResult
 
@@ -59,6 +59,19 @@ def _normalize_log_scores(log_scores: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
+def _checked_selection(selected, values: np.ndarray) -> np.ndarray:
+    """``selected`` as the bool (queries, sets) mask of ``values``, or ValidationError."""
+    selected = _real_array(selected, "selection")
+    if selected.dtype != bool or selected.shape != values.shape[:2]:
+        raise ValidationError(
+            f"need one selection over {values.shape[1]} sets per query, "
+            f"for {values.shape[0]} queries"
+        )
+    if not selected.any(axis=1).all():
+        raise ValidationError("every query must select at least one set")
+    return selected
+
+
 def fused_log_scores(
     values: np.ndarray, selected: np.ndarray, log_prior: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -100,24 +113,18 @@ def posterior(
     likelihood is degenerate are recorded in ``dropped`` and excluded.
     This is the one-query case of ``fused_log_scores``.
     """
-    prior = np.asarray(prior, dtype=np.float64)
+    prior = checked_array(prior, 1, "prior")
     if prior.shape != (stack.n_places,):
         raise ValidationError(f"prior must have shape ({stack.n_places},), got {prior.shape}")
-    if (prior < 0).any() or not np.isfinite(prior).all():
-        raise ValidationError("prior entries must be finite and non-negative")
+    if (prior < 0).any():
+        raise ValidationError("prior entries must be non-negative")
     total = prior.sum()
     if abs(total - 1.0) > _PRIOR_SUM_TOL:
         raise ValidationError(f"prior must sum to 1, got {total!r}")
-    selected = selection.mask
-    if selected.shape[0] != stack.n_refs:
-        raise ValidationError(
-            f"selection covers {selected.shape[0]} sets, stack has {stack.n_refs}"
-        )
-    if not selected.any():
-        raise ValidationError("selection must hold at least one set")
+    selected = _checked_selection([selection.mask], stack.values[None])
     with np.errstate(divide="ignore"):  # one-hot priors contain zeros
         log_prior = np.log(prior)
-    log_scores, used = fused_log_scores(stack.values[None], selected[None], log_prior)
+    log_scores, used = fused_log_scores(stack.values[None], selected, log_prior)
     if not used.any():
         raise NoInformationError(
             f"all {selection.n_selected} selected reference sets are degenerate"
@@ -125,7 +132,7 @@ def posterior(
     return Belief(
         log_scores=log_scores[0],
         normalized=_normalize_log_scores(log_scores[0]),
-        dropped=tuple(np.flatnonzero(selected & ~used[0]).tolist()),
+        dropped=tuple(np.flatnonzero(selected[0] & ~used[0]).tolist()),
     )
 
 

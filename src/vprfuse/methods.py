@@ -29,11 +29,12 @@ import numpy as np
 
 from .distance import DistanceStack
 from .errors import ValidationError
-# ``posterior`` is not called here; perfbench/spans.py traces it under this name.
-from .fusion import _normalize_log_scores, fused_log_scores, posterior, uniform_prior  # noqa: F401
+from .fusion import _checked_selection, _normalize_log_scores, fused_log_scores, uniform_prior
+from .fusion import posterior  # noqa: F401  (not called here; perfbench/spans.py traces it)
 from .selection import (
     DEFAULT_GAMMA,
     SelectionResult,
+    _check_gamma,
     select_all,
     select_references,
     select_single,
@@ -60,6 +61,7 @@ class Method:
     rule: str | int
 
     def select(self, stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> SelectionResult:
+        _check_gamma(gamma)  # for every rule, so every library scoring path refuses a bad gamma
         if self.rule == GAMMA:
             return select_references(stack, gamma)
         if self.rule == ALL:
@@ -76,13 +78,7 @@ class Method:
         belief method leaves out each query's degenerate selected sets.  Either
         kind raises ValidationError on non-finite selected distances.
         """
-        if selected.dtype != bool or selected.shape != values.shape[:2]:
-            raise ValidationError(
-                f"need one selection over {values.shape[1]} sets per query, "
-                f"for {values.shape[0]} queries"
-            )
-        if not selected.any(axis=1).all():
-            raise ValidationError("every query must select at least one set")
+        selected = _checked_selection(selected, values)
         if self.kind == BELIEF:
             log_prior = np.log(uniform_prior(values.shape[2]))
             # A query whose selected sets are all degenerate keeps the log
@@ -100,7 +96,7 @@ class Method:
 
     def fuse(self, stack: DistanceStack, selection: SelectionResult) -> np.ndarray:
         """Score row for an already-computed selection: ``fuse_rows`` of one query."""
-        return self.fuse_rows(stack.values[None], selection.mask[None])[0][0]
+        return self.fuse_rows(stack.values[None], [selection.mask])[0][0]
 
     def score_row(self, stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
         return self.fuse(stack, self.select(stack, gamma))

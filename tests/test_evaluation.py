@@ -18,6 +18,7 @@ from vprfuse import (
     generate_synthetic,
     match_correct,
     pr_curve,
+    resolve_method,
     score_matrix,
     sequence_aggregate,
 )
@@ -393,6 +394,27 @@ class TestFusingRowOracle:
         want = fused_rows_oracle(distances, ratios, kind, rule, gamma=0.04)
         np.testing.assert_allclose(score_matrix(ds, name).scores, want, rtol=1e-12, atol=1e-13)
         assert evaluate_method(ds, name).curve.auc == pytest.approx(frozen, abs=1e-6)
+
+
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, float("nan")])
+@pytest.mark.parametrize("name", ["bayes-full", "baseline-fusion", "min-value:0", "bayes-single:1"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda ds, name, gamma: evaluate_method(ds, name, gamma=gamma),
+        lambda ds, name, gamma: score_matrix(ds, name, gamma=gamma),
+        lambda ds, name, gamma: bench_query(ds, name, repetitions=1, n_queries=1, gamma=gamma),
+        lambda ds, name, gamma: resolve_method(name, ds.labels).score_row(
+            distance_stack(ds.queries[0], ds.refs), gamma
+        ),
+    ],
+    ids=["evaluate_method", "score_matrix", "bench_query", "score_row"],
+)
+def test_gamma_is_checked_by_every_library_entry(entry, name, gamma):
+    """Also methods that never select by gamma refuse one that is not positive."""
+    dataset = generate_synthetic(seed=0, n_places=10, dim=4)
+    with pytest.raises(ValidationError, match="gamma must be positive"):
+        entry(dataset, name, gamma)
 
 
 class TestBenchQuery:

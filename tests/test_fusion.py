@@ -115,8 +115,50 @@ class TestPosterior:
     def test_empty_selection_rejected(self, rng):
         stack = random_stack(rng)
         empty = SelectionResult(best=0, mask=np.zeros(stack.n_refs, bool), minima=stack.minima())
-        with pytest.raises(ValidationError, match="selection must hold at least one set"):
+        with pytest.raises(ValidationError, match="every query must select at least one set"):
             posterior(stack, empty, uniform_prior(30))
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            np.ones(3),  # floats, not a mask
+            np.ones(3, dtype=np.int64),  # indices, not a mask
+            np.ones((1, 3), dtype=bool),  # a block's mask, not one query's
+        ],
+        ids=["float", "int", "block"],
+    )
+    def test_mask_that_is_not_one_bool_per_set_rejected(self, rng, mask):
+        stack = random_stack(rng)
+        sel = SelectionResult(best=0, mask=mask, minima=stack.minima())
+        with pytest.raises(
+            ValidationError, match="need one selection over 3 sets per query, for 1 queries"
+        ):
+            posterior(stack, sel, uniform_prior(30))
+
+    def test_list_mask_fuses_like_the_array_mask(self, rng):
+        stack = random_stack(rng)
+        mask = np.array([True, False, True])
+        want = posterior(stack, SelectionResult(0, mask, stack.minima()), uniform_prior(30))
+        got = posterior(stack, SelectionResult(0, mask.tolist(), stack.minima()), uniform_prior(30))
+        assert got.log_scores.tobytes() == want.log_scores.tobytes()
+        assert got.normalized.tobytes() == want.normalized.tobytes()
+        assert got.dropped == want.dropped
+
+    @pytest.mark.parametrize(
+        "prior, match",
+        [
+            (np.full(4, 0.25 + 0j), "prior must hold real numbers"),
+            (["0.25"] * 4, "prior must hold real numbers"),
+            ([[0.25, 0.25], [0.5]], "prior is not a rectangular array"),
+            (np.full((1, 4), 0.25), "prior must be a non-empty 1-D array"),
+            (np.array([0.5, 0.5, np.nan, 0.0]), "prior contains non-finite values"),
+        ],
+        ids=["complex", "string", "ragged", "2-D", "nan"],
+    )
+    def test_prior_goes_through_the_array_check(self, rng, prior, match):
+        stack = random_stack(rng, n_places=4)
+        with pytest.raises(ValidationError, match=match):
+            posterior(stack, select_all(stack), prior)
 
     def test_selection_from_other_stack_rejected(self, rng):
         stack = random_stack(rng, n_refs=3)

@@ -152,6 +152,26 @@ class TestRowConsistency:
             ):
                 resolve_method(name, LABELS).fuse_rows(values, selected)
 
+    @pytest.mark.parametrize(
+        "selected",
+        [[[True, "no", True]], [[True, False], [True]], [[1j, 0j, 1j]]],
+        ids=["string", "ragged", "complex"],
+    )
+    def test_fuse_rows_rejects_a_mask_that_is_not_real(self, rng, selected):
+        values = random_stack(rng).values[None]
+        for name in ("bayes-full", "baseline-fusion"):
+            with pytest.raises(ValidationError, match="selection (must hold real|is not a rect)"):
+                resolve_method(name, LABELS).fuse_rows(values, selected)
+
+    @pytest.mark.parametrize("name", ["bayes-full", "baseline-fusion"])  # one per kind
+    def test_fuse_takes_a_list_mask(self, rng, name):
+        stack = random_stack(rng)
+        mask = np.array([True, False, True])
+        method = resolve_method(name, LABELS)
+        want = method.fuse(stack, SelectionResult(0, mask, stack.minima()))
+        got = method.fuse(stack, SelectionResult(0, mask.tolist(), stack.minima()))
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name", ["bayes-full", "baseline-fusion"])  # one per kind
     def test_fuse_rows_rejects_a_query_that_selects_no_set(self, rng, name):
         values = np.stack([random_stack(rng).values for _ in range(2)])

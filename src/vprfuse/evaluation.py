@@ -23,8 +23,8 @@ from .distance import distance_stack
 from .errors import ValidationError
 from .fusion import _decided
 from .ingest import Dataset, ReferenceSet, _assembled
-from .methods import Method, resolve_method
-from .selection import DEFAULT_GAMMA
+from .methods import ALL, Method, resolve_method
+from .selection import DEFAULT_GAMMA, _check_gamma
 from .sequence import ScoreMatrix, _check_window, sequence_aggregate
 
 # Stacked float64 distances scored per block: 21 queries at 500 places x 3
@@ -123,30 +123,34 @@ def _scored_blocks(refs: list[ReferenceSet], queries: np.ndarray, method: Method
                    gamma: float, phases: np.ndarray | None = None):
     """Yield ``(start, rows)``: the fused score rows of each block of queries.
 
-    Each query's distance stack and selection mask go into one preallocated
-    block, then ``Method.fuse_rows`` scores the whole block with one
-    likelihood pass per reference set.  A single-set method's stacks cover
-    its own set only.  Rows do not depend on the block size.  ``phases``, a
-    (queries, 3) array, gets each query's seconds in ``distance_stack``, in
-    its block copy plus ``Method.select``, and its share of ``fuse_rows``.
+    Each query's distance stack goes into one preallocated block, then
+    ``Method.fuse_rows`` scores it with one likelihood pass per reference set;
+    rows do not depend on the block size.  A single-set method's stacks cover
+    its own set only.  Only the gamma rule calls ``Method.select`` per query;
+    other masks stay all True.  ``phases``, a (queries, 3) array, gets each
+    query's seconds in ``distance_stack``, in its block copy plus any
+    ``select`` call (about zero without one), and its share of ``fuse_rows``.
     """
-    scorer, used = method, refs
-    if isinstance(method.rule, int) and 0 <= method.rule < len(refs):
+    _check_gamma(gamma)  # also for rules that never select by gamma
+    # A set index out of range, or a bool, still selects: select_single raises.
+    scorer, used, per_query = method, refs, method.rule != ALL
+    if type(method.rule) is int and 0 <= method.rule < len(refs):
         # Set 0 of a one-set stack: bit-identical rows, as a set's distance
         # row does not depend on which other sets share the stack.
-        scorer, used = replace(method, rule=0), [refs[method.rule]]
+        scorer, used, per_query = replace(method, rule=0), [refs[method.rule]], False
     # Sized by every set, also when narrowed: larger blocks of one-set stacks
     # raise peak memory with their likelihood temporaries.
     step = max(1, _BLOCK_BYTES // (8 * len(refs) * refs[0].n_places))
     block = np.empty((min(step, queries.shape[0]), len(used), refs[0].n_places))
-    selected = np.empty(block.shape[:2], dtype=bool)
+    selected = np.ones(block.shape[:2], dtype=bool)
     for start in range(0, queries.shape[0], step):
         for j, q in enumerate(queries[start : start + step]):
             t0 = time.perf_counter()
             stack = distance_stack(q, used)
             t1 = time.perf_counter()
             block[j] = stack.values
-            selected[j] = scorer.select(stack, gamma).mask
+            if per_query:
+                selected[j] = scorer.select(stack, gamma).mask
             if phases is not None:
                 phases[start + j, :2] = t1 - t0, time.perf_counter() - t1
         t0 = time.perf_counter()

@@ -54,9 +54,10 @@ class PlaceDecision:
 
 
 def _normalize_log_scores(log_scores: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax of a score vector, or of each row of a block."""
-    shifted = np.exp(log_scores - log_scores.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
+    """Max-shifted softmax of a vector or of each block row, in place over one new array."""
+    shifted = log_scores - log_scores.max(axis=-1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    return np.divide(shifted, shifted.sum(axis=-1, keepdims=True), out=shifted)
 
 
 def _checked_selection(selected, values: np.ndarray) -> np.ndarray:
@@ -79,23 +80,23 @@ def fused_log_scores(
 
     ``values`` holds a block of queries' (sets, places) distance stacks and
     ``selected`` their (queries, sets) selection mask.  Sets are added in
-    ascending order, each as one block of the queries that selected it, so
-    every row is bit-identical to its query fused alone.  Returns the
-    (queries, places) log scores and the (queries, sets) mask of the sets
-    that contributed; a selected set whose distances are degenerate for a
-    query is left out of that query's sum.
+    ascending order, each as one block of the queries that selected it (a
+    slice when all did), so every row is bit-identical to its query fused
+    alone.  Returns the (queries, places) log scores and the (queries, sets)
+    mask of the sets that contributed; a selected set whose distances are
+    degenerate for a query is left out of that query's sum.
     """
-    log_scores = np.empty((values.shape[0], values.shape[2]))
-    log_scores[:] = log_prior
+    log_scores = np.tile(log_prior, (values.shape[0], 1))
     used = np.zeros(selected.shape, dtype=bool)
     for u in range(values.shape[1]):
-        rows = np.flatnonzero(selected[:, u])
-        if rows.size == 0:
+        column = selected[:, u]
+        if not column.any():
             continue
+        rows = slice(None) if column.all() else np.flatnonzero(column)
         ratio = log_likelihood_ratio(values[rows, u])
         usable = ~np.isnan(ratio[:, 0])  # NaN marks a degenerate row
         if not usable.all():
-            rows, ratio = rows[usable], ratio[usable]
+            rows, ratio = np.flatnonzero(column)[usable], ratio[usable]
         log_scores[rows] += ratio
         used[rows, u] = True
     return log_scores, used

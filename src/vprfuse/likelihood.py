@@ -53,16 +53,19 @@ def place_match_counts(d: np.ndarray) -> np.ndarray:
     distances the counts are a permutation of 1..N, and the maximum count
     lands on the minimum distance.  Computed in O(N log N) via sorting: in
     sorted order, an entry's count is N minus the index where its run of
-    equal values starts.
+    equal values starts; the run-start pass runs only for a block with ties.
     """
     arr = _distance_rows(d)
     n = arr.shape[-1]
     # Each row's sort order, as positions in the flattened block.
-    flat = np.argsort(arr, axis=-1) + np.arange(0, arr.size, n).reshape(-1, 1)
+    flat = np.argsort(arr.reshape(-1, n), axis=-1)
+    flat += np.arange(0, arr.size, n).reshape(-1, 1)
     ranked = arr.reshape(-1)[flat]
-    run_start = np.zeros(flat.shape, dtype=np.int64)
-    run_start[:, 1:] = (ranked[:, 1:] != ranked[:, :-1]) * np.arange(1, n)
-    np.maximum.accumulate(run_start, axis=-1, out=run_start)
+    starts = np.ones(flat.shape, dtype=bool)  # where each run of equal values starts
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    run_start = np.arange(n)  # each entry's own position, unless the block has ties
+    if not starts.all():
+        run_start = np.maximum.accumulate(starts * run_start, axis=-1)
     counts = np.empty(arr.shape, dtype=np.int64)
     counts.reshape(-1)[flat] = n - run_start
     return counts
@@ -78,7 +81,8 @@ def gaussian_params(d: np.ndarray) -> GaussianParams:
     n = arr.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by the caller
         mu = np.add.reduce(arr, axis=-1, keepdims=True) / n
-        sigma2 = np.add.reduce(np.square(arr - mu), axis=-1) / n
+        dev = arr - mu
+        sigma2 = np.add.reduce(np.square(dev, out=dev), axis=-1) / n
     if arr.ndim == 1:
         return GaussianParams(mu=float(mu[0]), sigma2=float(sigma2))
     return GaussianParams(mu=mu[:, 0], sigma2=sigma2)
@@ -107,8 +111,11 @@ def log_likelihood_ratio(d: np.ndarray) -> np.ndarray:
     sigma2 = np.where(usable, fit.sigma2, 1.0)
     # Each row's normalizer from its Python float, as for a vector alone.
     norm = np.array([-0.5 * (_LOG_2PI + math.log(s)) for s in sigma2.tolist()])
-    resid = rows - fit.mu[:, None]
-    log_pdf = norm[:, None] - resid * resid / (2.0 * sigma2[:, None])
-    ratio = np.log(counts) - log_pdf
+    log_pdf = rows - fit.mu[:, None]  # then norm - resid**2 / (2 sigma2), in place
+    log_pdf *= log_pdf
+    log_pdf /= 2.0 * sigma2[:, None]
+    np.subtract(norm[:, None], log_pdf, out=log_pdf)
+    ratio = np.log(counts).reshape(log_pdf.shape)
+    ratio -= log_pdf
     ratio[~usable] = np.nan
     return ratio.reshape(counts.shape)

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .distance import DistanceStack
-from .errors import ValidationError
+from .errors import ValidationError, _real_array
 from .fusion import _checked_selection, _normalize_log_scores, fused_log_scores, uniform_prior
 from .fusion import posterior  # noqa: F401  (not called here; perfbench/spans.py traces it)
 from .selection import (
@@ -71,13 +71,16 @@ class Method:
     def fuse_rows(self, values: np.ndarray, selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Score rows of a block of queries and the sets that contributed to them.
 
-        ``values`` stacks the queries' (sets, places) distances and ``selected``
-        is their (queries, sets) bool selection mask, with at least one set per
-        query.  Returns the (queries, places) rows, each bit-identical to the
-        query scored alone, and the (queries, sets) mask of the sets used: a
+        ``values`` is the 3-D block of the queries' (sets, places) distances and
+        ``selected`` their (queries, sets) bool selection mask, with at least one
+        set per query.  Returns the (queries, places) rows, each bit-identical to
+        the query scored alone, and the (queries, sets) mask of the sets used: a
         belief method leaves out each query's degenerate selected sets.  Either
         kind raises ValidationError on non-finite selected distances.
         """
+        values = _real_array(values, "distance stacks")
+        if values.ndim != 3:
+            raise ValidationError(f"distance stacks must be a 3-D array, got shape {values.shape}")
         selected = _checked_selection(selected, values)
         if self.kind == BELIEF:
             log_prior = np.log(uniform_prior(values.shape[2]))
@@ -89,7 +92,7 @@ class Method:
         total = np.zeros((values.shape[0], values.shape[2]))
         with np.errstate(over="ignore", invalid="ignore"):
             for u in range(values.shape[1]):
-                total[selected[:, u]] += values[selected[:, u], u]
+                np.add(total, values[:, u], out=total, where=selected[:, u, None])
         if not np.isfinite(total).all():
             raise ValidationError("selected distances must be finite, with a finite sum")
         return -(total / selected.sum(axis=1)[:, None]), selected

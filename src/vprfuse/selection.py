@@ -8,6 +8,7 @@ distances.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,10 @@ def select_all(stack: DistanceStack) -> SelectionResult:
 
 def select_single(stack: DistanceStack, index: int) -> SelectionResult:
     """Forced selection of one reference set (single-reference methods)."""
+    try:  # a bool is no index: True would select set 1
+        index = operator.index(None if isinstance(index, bool) else index)
+    except TypeError:
+        raise ValidationError(f"reference index must be an integer, got {index!r}") from None
     if not 0 <= index < stack.n_refs:
         raise ValidationError(
             f"reference index {index} out of range for {stack.n_refs} sets"

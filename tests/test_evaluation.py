@@ -396,6 +396,24 @@ class TestFusingRowOracle:
         assert evaluate_method(ds, name).curve.auc == pytest.approx(frozen, abs=1e-6)
 
 
+def test_tie_heavy_rows_match_the_oracle():
+    """Integer descriptors: exact distances with many ties, so blocks take the tie pass."""
+    synth = generate_synthetic(seed=2, n_places=80, dim=3, condition_scale=0.15)
+    refs = [ReferenceSet(r.label, np.round(2 * r.descriptors)) for r in synth.refs]
+    ds = Dataset(refs, np.round(2 * synth.queries), synth.ground_truth)
+    distances = np.array(
+        [[explicit_distances(q, ref.descriptors) for ref in ds.refs] for q in ds.queries]
+    )
+    assert min(len(np.unique(d)) for d in distances.reshape(-1, 80)) < 40
+    ratios = np.array([[log_ratio_oracle(d) for d in stack] for stack in distances])
+    for method in expand_methods("all", ds.labels):
+        want = fused_rows_oracle(distances, ratios, method.kind, method.rule, gamma=0.04)
+        result = evaluate_method(ds, method)
+        np.testing.assert_array_equal(result.places, want.argmax(axis=1))
+        np.testing.assert_allclose(result.confidences, want.max(axis=1), rtol=1e-12, atol=1e-13)
+        assert result.decided.all()
+
+
 @pytest.mark.parametrize("gamma", [-1.0, 0.0, float("nan")])
 @pytest.mark.parametrize("name", ["bayes-full", "baseline-fusion", "min-value:0", "bayes-single:1"])
 @pytest.mark.parametrize(
@@ -519,6 +537,23 @@ def _stack_spy(monkeypatch):
     return sets
 
 
+def test_only_the_gamma_rule_selects_per_query(monkeypatch):
+    ds = generate_synthetic(seed=4, n_places=30, dim=6)
+    calls = []
+    select = Method.select
+
+    def spy(self, stack, gamma=0.04):
+        calls.append(self.name)
+        return select(self, stack, gamma)
+
+    monkeypatch.setattr(Method, "select", spy)
+    for method in expand_methods("all", ds.labels):
+        calls.clear()
+        evaluate_method(ds, method)
+        want = 30 if method.name in ("bayes-selective", "baseline-selective") else 0
+        assert calls == [method.name] * want
+
+
 class TestNarrowing:
     @pytest.fixture
     def ds(self):
@@ -564,6 +599,11 @@ class TestNarrowing:
         sets.clear()
         bench_query(ds, "bayes-selective", repetitions=1, n_queries=3)
         assert sets == [3] * 4
+
+    def test_bool_set_index_rejected(self, ds):
+        method = Method(name="min-value:x", kind="distance", rule=True)
+        with pytest.raises(ValidationError, match="reference index must be an integer"):
+            evaluate_method(ds, method)
 
     @pytest.mark.parametrize("rule", [-1, 3])
     def test_out_of_range_set_rejected(self, ds, rule):

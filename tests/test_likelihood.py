@@ -203,6 +203,21 @@ class TestBlocks:
         for r, row in enumerate(block):
             np.testing.assert_array_equal(ratio[r], log_likelihood_ratio(row))
 
+    def test_tied_and_tie_free_rows_in_one_block(self, rng):
+        """A block with ties takes the run-start pass for every row, a tie-free one skips it."""
+        block = rng.uniform(0.5, 2.0, size=(6, 50))  # rows 0 and 5 stay tie-free
+        block[1, [4, 17, 30]] = block[1].min()  # tied at the minimum
+        block[2, [0, 1, 49]] = block[2].max()  # tied at the maximum
+        block[3] = np.round(block[3], 1)  # tied everywhere
+        block[4] = rng.choice([0.5, 1.0, 1.5], size=50)
+        for rows in (block, block[[0, 5]]):
+            counts, ratio = place_match_counts(rows), log_likelihood_ratio(rows)
+            for r, row in enumerate(rows):
+                want = counts_oracle(row)
+                np.testing.assert_array_equal(counts[r], want)
+                np.testing.assert_array_equal(place_match_counts(row), want)
+                assert ratio[r].tobytes() == log_likelihood_ratio(row).tobytes()
+
     def test_degenerate_row_is_nan_among_normal_rows(self, rng):
         block = rng.uniform(0.5, 2.0, size=(4, 30))
         block[2] = 1.25

@@ -164,6 +164,18 @@ class TestRowConsistency:
                 resolve_method(name, LABELS).fuse_rows(values, selected)
 
     @pytest.mark.parametrize("name", ["bayes-full", "baseline-fusion"])  # one per kind
+    def test_fuse_rows_checks_the_stacks(self, rng, name):
+        method = resolve_method(name, LABELS)
+        values = np.stack([random_stack(rng).values for _ in range(2)])
+        selected = np.ones((2, 3), dtype=bool)
+        rows, _ = method.fuse_rows(values.tolist(), selected)  # a nested list of stacks
+        assert rows.tobytes() == method.fuse_rows(values, selected)[0].tobytes()
+        with pytest.raises(ValidationError, match="distance stacks must be a 3-D array"):
+            method.fuse_rows(rng.uniform(0.3, 2.0, size=(2, 5)), np.ones((2, 2), dtype=bool))
+        with pytest.raises(ValidationError, match="distance stacks is not a rectangular"):
+            method.fuse_rows([[[1.0, 2.0], [1.0]]], np.ones((1, 2), dtype=bool))
+
+    @pytest.mark.parametrize("name", ["bayes-full", "baseline-fusion"])  # one per kind
     def test_fuse_takes_a_list_mask(self, rng, name):
         stack = random_stack(rng)
         mask = np.array([True, False, True])

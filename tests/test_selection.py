@@ -125,6 +125,19 @@ class TestForcedSelections:
         with pytest.raises(ValidationError):
             select_single(stack, 3)
 
+    @pytest.mark.parametrize(
+        "index", [1.5, 1.0, True, np.True_, "1", None],
+        ids=["fraction", "float", "bool", "numpy-bool", "string", "none"],
+    )
+    def test_select_single_refuses_a_non_integer_index(self, rng, index):
+        with pytest.raises(ValidationError, match="reference index must be an integer"):
+            select_single(random_stack(rng, n_refs=3), index)
+
+    def test_select_single_takes_a_numpy_integer(self, rng):
+        sel = select_single(random_stack(rng, n_refs=3), np.int64(2))
+        assert sel.best == 2 and type(sel.best) is int
+        assert sel.selected == (2,)
+
 
 class TestMask:
     """``mask`` holds one bool per set of the stack, True exactly where selected."""

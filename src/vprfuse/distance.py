@@ -55,14 +55,16 @@ class DistanceStack:
 
 def _distances(q: np.ndarray, refs: list[ReferenceSet]) -> np.ndarray:
     """Kernel: (M, N) distances from a validated float64 query; checks every set first."""
-    n = refs[0].n_places
     for ref in refs:
-        if ref.n_places != n:
+        if not isinstance(ref, ReferenceSet):
+            raise ValidationError(f"expected a reference set, got {type(ref).__name__}")
+        if ref.n_places != refs[0].n_places:
             raise ValidationError(
-                f"reference set {ref.label!r} has {ref.n_places} places, expected {n}"
+                f"reference set {ref.label!r} has {ref.n_places} places, expected {refs[0].n_places}"
             )
         if ref.dim != q.shape[0]:
             raise ValidationError(f"dimension mismatch: query {q.shape[0]}, reference {ref.dim}")
+    n = refs[0].n_places
     # Finite inputs can overflow the expanded form (near 1e200); inf or NaN is rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = np.empty((len(refs), n))
@@ -106,6 +108,6 @@ def distance_stack(query: np.ndarray, refs: list[ReferenceSet]) -> DistanceStack
 
     The query is validated once for the whole stack.
     """
-    if not refs:
-        raise ValidationError("need at least one reference set")
+    if not isinstance(refs, (list, tuple)) or not refs:
+        raise ValidationError("need a non-empty list or tuple of reference sets")
     return _assembled(DistanceStack, values=_distances(checked_array(query, 1, "query"), refs))

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit, and the one array check."""
+"""Exception types shared across the toolkit, and the one array and integer checks."""
+
+import operator
 
 import numpy as np
 
@@ -46,3 +48,14 @@ def checked_array(values, ndim: int, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains non-finite values")
     return arr
+
+
+def _integer(value, what: str, low: int | None = None) -> int:
+    """``value`` as an int, if it is an integer (a bool is not) of at least ``low``."""
+    try:  # True would otherwise read as 1
+        value = operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValidationError(f"{what} must be >= {low}, got {value}")
+    return value

@@ -15,12 +15,12 @@ agreement with externally reported values is not guaranteed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distance import distance_stack
-from .errors import ValidationError
+from .errors import ValidationError, _integer, _real_array
 from .fusion import _decided
 from .ingest import Dataset, ReferenceSet, _assembled
 from .methods import ALL, Method, resolve_method
@@ -87,8 +87,9 @@ def pr_curve(confidences, decided, correct) -> PRCurve:
     ``correct`` marks the right ones.  When no query decided a place, the
     curve degenerates to the single point (recall 0, precision 0) with AUC 0.
     """
-    conf = np.asarray(confidences, dtype=np.float64)
-    decided, correct = np.asarray(decided, dtype=bool), np.asarray(correct, dtype=bool)
+    conf = _real_array(confidences, "confidences").astype(np.float64, copy=False)
+    decided = _real_array(decided, "decided flags").astype(bool, copy=False)
+    correct = _real_array(correct, "correct flags").astype(bool, copy=False)
     if conf.ndim != 1 or conf.size == 0 or not decided.shape == correct.shape == conf.shape:
         raise ValidationError("need non-empty, equal-length 1-D arrays, one entry per query")
     total = conf.shape[0]
@@ -133,11 +134,10 @@ def _scored_blocks(refs: list[ReferenceSet], queries: np.ndarray, method: Method
     """
     _check_gamma(gamma)  # also for rules that never select by gamma
     # A set index out of range, or a bool, still selects: select_single raises.
-    scorer, used, per_query = method, refs, method.rule != ALL
+    used, per_query = refs, method.rule != ALL
     if type(method.rule) is int and 0 <= method.rule < len(refs):
-        # Set 0 of a one-set stack: bit-identical rows, as a set's distance
-        # row does not depend on which other sets share the stack.
-        scorer, used, per_query = replace(method, rule=0), [refs[method.rule]], False
+        # One-set stacks: a set's distance row does not depend on the other sets.
+        used, per_query = [refs[method.rule]], False
     # Sized by every set, also when narrowed: larger blocks of one-set stacks
     # raise peak memory with their likelihood temporaries.
     step = max(1, _BLOCK_BYTES // (8 * len(refs) * refs[0].n_places))
@@ -150,11 +150,11 @@ def _scored_blocks(refs: list[ReferenceSet], queries: np.ndarray, method: Method
             t1 = time.perf_counter()
             block[j] = stack.values
             if per_query:
-                selected[j] = scorer.select(stack, gamma).mask
+                selected[j] = method.select(stack, gamma).mask
             if phases is not None:
                 phases[start + j, :2] = t1 - t0, time.perf_counter() - t1
         t0 = time.perf_counter()
-        rows, _ = scorer.fuse_rows(block[: j + 1], selected[: j + 1])
+        rows, _ = method.fuse_rows(block[: j + 1], selected[: j + 1])
         if phases is not None:
             phases[start : start + j + 1, 2] = (time.perf_counter() - t0) / (j + 1)
         yield start, rows
@@ -173,9 +173,9 @@ def score_matrix(
     matrix); a window that ``sequence_aggregate`` would reject raises
     ValidationError before any query is scored.
     """
-    if isinstance(method, str):
+    if not isinstance(method, Method):
         method = resolve_method(method, [r.label for r in dataset.refs])
-    if seq_len != 1:
+    if _integer(seq_len, "sequence length", 1) != 1:
         _check_window(seq_len, dataset.queries.shape[0], seq_velocity)
     rows = np.empty((dataset.queries.shape[0], dataset.n_places))
     for start, block in _scored_blocks(dataset.refs, dataset.queries, method, gamma):
@@ -205,9 +205,9 @@ def evaluate_method(
     ``score_matrix`` are decided, since a window reads earlier rows.
     ``score_matrix`` returns the rows themselves.
     """
-    if isinstance(method, str):
+    if not isinstance(method, Method):
         method = resolve_method(method, [r.label for r in dataset.refs])
-    if seq_len == 1:
+    if _integer(seq_len, "sequence length", 1) == 1:
         blocks = _scored_blocks(dataset.refs, dataset.queries, method, gamma)
     else:
         blocks = [(0, score_matrix(dataset, method, gamma, seq_len, seq_velocity).scores)]
@@ -254,9 +254,9 @@ def bench_query(
     loop after one warm-up query, without I/O.  A query's total is the sum
     of its phases, its fusion phase an equal share of its block's.
     """
-    if repetitions < 1 or n_queries < 1:
-        raise ValidationError("repetitions and n_queries must be >= 1")
-    if isinstance(method, str):
+    repetitions = _integer(repetitions, "repetitions", 1)
+    n_queries = _integer(n_queries, "query count", 1)
+    if not isinstance(method, Method):
         method = resolve_method(method, [r.label for r in dataset.refs])
     queries = dataset.queries[:n_queries]
     next(_scored_blocks(dataset.refs, queries[:1], method, gamma))  # warm-up

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import DistanceStack
-from .errors import NoInformationError, ValidationError, _real_array, checked_array
+from .errors import NoInformationError, ValidationError, _integer, _real_array, checked_array
 from .likelihood import log_likelihood_ratio
 from .selection import SelectionResult
 
@@ -23,8 +23,7 @@ _PRIOR_SUM_TOL = 1e-9
 
 
 def uniform_prior(n_places: int) -> np.ndarray:
-    if n_places < 1:
-        raise ValidationError("prior needs at least one place")
+    n_places = _integer(n_places, "place count", 1)
     return np.full(n_places, 1.0 / n_places)
 
 

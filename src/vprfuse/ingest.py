@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _real_array
+from .errors import ValidationError, _integer, _real_array
 
 _MAGIC = b"VPRD"
 _VERSION = 1
@@ -111,12 +111,7 @@ class GroundTruth:
             arr = src.astype(np.int64)  # own copy
         if not np.array_equal(arr, src):
             raise ValidationError("ground-truth place indices must be int64 integers")
-        if not isinstance(self.tolerance, (int, np.integer)):
-            raise ValidationError(
-                f"ground-truth tolerance must be an integer, got {self.tolerance!r}"
-            )
-        if self.tolerance < 0:
-            raise ValidationError("ground-truth tolerance must be non-negative")
+        object.__setattr__(self, "tolerance", _integer(self.tolerance, "ground-truth tolerance", 0))
         arr.flags.writeable = False
         object.__setattr__(self, "true_place", arr)
 
@@ -502,12 +497,10 @@ def generate_synthetic(
     solvable when place_spread exceeds condition_scale + query_noise; this is
     recommended but not enforced.  Output is deterministic per seed.
     """
-    if n_places < 1 or n_conditions < 1:
-        raise ValidationError("need at least one place and one condition")
-    if dim < 1:
-        raise ValidationError("dimension must be positive")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
+    n_places = _integer(n_places, "place count", 1)
+    n_conditions = _integer(n_conditions, "condition count", 1)
+    dim = _integer(dim, "dimension", 1)
+    seed = _integer(seed, "seed", 0)
     if mixture is None:
         weights = np.full(n_conditions, 1.0 / n_conditions)
     else:

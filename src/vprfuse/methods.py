@@ -144,10 +144,10 @@ def _single_name(prefix: str, index: int, labels: Sequence[str]) -> str:
 
 def resolve_method(name: str, labels: Sequence[str]) -> Method:
     """Resolve one selector string against a dataset's reference labels."""
-    if name in _FUSION_METHODS:
-        kind, rule = _FUSION_METHODS[name]
-        return Method(name=name, kind=kind, rule=rule)
-    prefix, sep, token = name.partition(":")
+    prefix, sep, token = name.partition(":") if isinstance(name, str) else ("", "", "")
+    if not sep and prefix in _FUSION_METHODS:  # no fusion method's name holds ":"
+        kind, rule = _FUSION_METHODS[prefix]
+        return Method(name=prefix, kind=kind, rule=rule)
     if sep and prefix in _SINGLE_PREFIXES:
         index = _resolve_ref(token, labels)
         return Method(

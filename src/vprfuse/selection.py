@@ -8,13 +8,12 @@ distances.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distance import DistanceStack
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 
 # Fixed default; values in roughly [0.04, 0.1] behave well across datasets.
 DEFAULT_GAMMA = 0.04
@@ -77,14 +76,9 @@ def select_all(stack: DistanceStack) -> SelectionResult:
 
 def select_single(stack: DistanceStack, index: int) -> SelectionResult:
     """Forced selection of one reference set (single-reference methods)."""
-    try:  # a bool is no index: True would select set 1
-        index = operator.index(None if isinstance(index, bool) else index)
-    except TypeError:
-        raise ValidationError(f"reference index must be an integer, got {index!r}") from None
+    index = _integer(index, "reference index")
     if not 0 <= index < stack.n_refs:
-        raise ValidationError(
-            f"reference index {index} out of range for {stack.n_refs} sets"
-        )
+        raise ValidationError(f"reference index {index} out of range for {stack.n_refs} sets")
     return SelectionResult(
         best=index,
         mask=np.arange(stack.n_refs) == index,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, checked_array
+from .errors import ValidationError, _integer, checked_array
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,7 @@ class ScoreMatrix:
 
 def _check_window(length: int, n_queries: int, velocity: float) -> None:
     """Raise ValidationError unless the window fits ``n_queries`` queries."""
-    if length < 1:
-        raise ValidationError(f"sequence length must be >= 1, got {length}")
-    if length > n_queries:
+    if _integer(length, "sequence length", 1) > n_queries:
         raise ValidationError(f"sequence length {length} exceeds query count {n_queries}")
     if not (0 < velocity < np.inf):
         raise ValidationError(f"velocity must be positive and finite, got {velocity}")

@@ -183,6 +183,19 @@ class TestDistanceStack:
         with pytest.raises(ValidationError):
             distance_stack(np.zeros(3), refs)
 
+    @pytest.mark.parametrize("kind", ["arrays", "mixed", "array3d", "dict", "string"])
+    def test_refs_must_be_a_list_or_tuple_of_reference_sets(self, rng, kind):
+        ref = ReferenceSet("a", rng.standard_normal((4, 3)))
+        refs = {
+            "arrays": [ref.descriptors, ref.descriptors],
+            "mixed": (ref, ref.descriptors),
+            "array3d": np.stack([ref.descriptors, ref.descriptors]),
+            "dict": {0: ref},
+            "string": "ab",
+        }[kind]
+        with pytest.raises(ValidationError, match="reference set"):
+            distance_stack(np.zeros(3), refs)
+
     def test_overflowing_squares_rejected(self):
         # Finite inputs whose squared distances overflow float64.
         ref = ReferenceSet("a", np.full((3, 4), 1e200))

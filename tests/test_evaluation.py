@@ -147,6 +147,11 @@ class TestPRCurve:
             ([[0.5]], [[True]], [[True]]),
             ([0.5, np.nan], [True, True], [True, False]),
             ([-np.inf], [True], [True]),
+            (["a"], [True], [True]),
+            ([0.5], ["no"], [True]),
+            ([0.5], [True], ["yes"]),
+            ([[0.5], [0.4, 0.3]], [True, True], [True, True]),
+            ([0.5j], [True], [True]),
         ],
     )
     def test_bad_arrays_rejected(self, confidences, decided, correct):
@@ -266,6 +271,10 @@ class TestEvaluateMethod:
         [
             (0, 1.0, "sequence length"),
             (-3, 1.0, "sequence length"),
+            (2.5, 1.0, "sequence length must be an integer"),
+            (2.0, 1.0, "sequence length must be an integer"),
+            ("3", 1.0, "sequence length must be an integer"),
+            (True, 1.0, "sequence length must be an integer"),
             (26, 1.0, "exceeds query count"),
             (2, 0.0, "velocity"),
             (2, float("inf"), "velocity"),
@@ -604,6 +613,11 @@ class TestNarrowing:
         method = Method(name="min-value:x", kind="distance", rule=True)
         with pytest.raises(ValidationError, match="reference index must be an integer"):
             evaluate_method(ds, method)
+
+    @pytest.mark.parametrize("entry", [evaluate_method, score_matrix, bench_query])
+    def test_non_string_method_name_rejected(self, ds, entry):
+        with pytest.raises(ValidationError, match="unknown method None"):
+            entry(ds, None)
 
     @pytest.mark.parametrize("rule", [-1, 3])
     def test_out_of_range_set_rejected(self, ds, rule):

@@ -48,6 +48,12 @@ class TestRegistry:
         with pytest.raises(ValidationError):
             resolve_method("min-value:dusk", LABELS)
 
+    @pytest.mark.parametrize("name", [None, 3, ["bayes-full"]], ids=["none", "int", "list"])
+    def test_non_string_name_is_an_unknown_method(self, name):
+        for resolve in (resolve_method, expand_methods):
+            with pytest.raises(ValidationError, match="unknown method"):
+                resolve(name, LABELS)
+
     def test_duplicate_labels_fall_back_to_index_names(self):
         m = resolve_method("bayes-single:1", ["x", "x"])
         assert m.name == "bayes-single:1"

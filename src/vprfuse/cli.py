@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .distance import distance_stack
-from .errors import ValidationError, VPRFuseError
+from .errors import ValidationError, VPRFuseError, _real
 from .evaluation import TimingReport, bench_query, evaluate_method
 from .fusion import _decided
 from .ingest import (
@@ -26,7 +26,7 @@ from .ingest import (
     write_manifest,
 )
 from .methods import BELIEF, expand_methods, resolve_method
-from .selection import DEFAULT_GAMMA, _check_gamma
+from .selection import DEFAULT_GAMMA
 
 
 def _fmt(x: float) -> str:
@@ -123,10 +123,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    if not 0.0 < args.threshold < 1.0:
-        raise ValidationError(
-            f"--threshold must lie in (0, 1), got {args.threshold}"
-        )
+    _real(args.threshold, "--threshold", positive=True, below=1.0)
     dataset = load_dataset(args.manifest)
     query, _ = _read_rows(args.query_file, dataset.dim)
     if query.shape[0] != 1:
@@ -267,7 +264,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_gamma(getattr(args, "gamma", DEFAULT_GAMMA))  # once, for every method
+        _real(getattr(args, "gamma", DEFAULT_GAMMA), "gamma", positive=True)  # for every method
         return _COMMANDS[args.command](args)
     except (VPRFuseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

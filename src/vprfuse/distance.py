@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, checked_array
-from .ingest import ReferenceSet, _assembled
+from .ingest import ReferenceSet, _assembled, _reference_sets
 
 # Squared distances below this fraction of their term magnitudes are
 # recomputed with the exact difference form (cancellation guard).
@@ -55,16 +55,9 @@ class DistanceStack:
 
 def _distances(q: np.ndarray, refs: list[ReferenceSet]) -> np.ndarray:
     """Kernel: (M, N) distances from a validated float64 query; checks every set first."""
-    for ref in refs:
-        if not isinstance(ref, ReferenceSet):
-            raise ValidationError(f"expected a reference set, got {type(ref).__name__}")
-        if ref.n_places != refs[0].n_places:
-            raise ValidationError(
-                f"reference set {ref.label!r} has {ref.n_places} places, expected {refs[0].n_places}"
-            )
-        if ref.dim != q.shape[0]:
-            raise ValidationError(f"dimension mismatch: query {q.shape[0]}, reference {ref.dim}")
-    n = refs[0].n_places
+    n, dim = _reference_sets(refs)
+    if dim != q.shape[0]:
+        raise ValidationError(f"dimension mismatch: query {q.shape[0]}, reference {dim}")
     # Finite inputs can overflow the expanded form (near 1e200); inf or NaN is rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = np.empty((len(refs), n))
@@ -108,6 +101,4 @@ def distance_stack(query: np.ndarray, refs: list[ReferenceSet]) -> DistanceStack
 
     The query is validated once for the whole stack.
     """
-    if not isinstance(refs, (list, tuple)) or not refs:
-        raise ValidationError("need a non-empty list or tuple of reference sets")
     return _assembled(DistanceStack, values=_distances(checked_array(query, 1, "query"), refs))

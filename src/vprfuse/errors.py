@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the one array and integer checks."""
+"""Exception types shared across the toolkit, and the one array, integer and real-number checks."""
 
+import numbers
 import operator
 
 import numpy as np
@@ -58,4 +59,18 @@ def _integer(value, what: str, low: int | None = None) -> int:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
     if low is not None and value < low:
         raise ValidationError(f"{what} must be >= {low}, got {value}")
+    return value
+
+
+def _real(value, what: str, positive: bool = False, below: float | None = None) -> float:
+    """``value`` as a float, if it is a real number (a bool is not), positive when
+    ``positive`` and less than ``below`` when given; without bounds, NaN and inf pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    value = float(value)  # a numpy scalar gives the same float
+    if positive and not value > 0:
+        raise ValidationError(f"{what} must be positive, got {value}")
+    if below is not None and not value < below:
+        limit = "finite" if below == np.inf else f"less than {below:g}"
+        raise ValidationError(f"{what} must be {limit}, got {value}")
     return value

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distance import distance_stack
-from .errors import ValidationError, _integer, _real_array
+from .errors import ValidationError, _integer, _real, _real_array
 from .fusion import _decided
 from .ingest import Dataset, ReferenceSet, _assembled
 from .methods import ALL, Method, resolve_method
-from .selection import DEFAULT_GAMMA, _check_gamma
+from .selection import DEFAULT_GAMMA
 from .sequence import ScoreMatrix, _check_window, sequence_aggregate
 
 # Stacked float64 distances scored per block: 21 queries at 500 places x 3
@@ -53,7 +53,8 @@ class EvalRecord:
 
 def match_correct(decided_place: int, true_place: int, tolerance: int) -> bool:
     """A decision counts as correct within the index tolerance band."""
-    return abs(int(decided_place) - int(true_place)) <= int(tolerance)
+    offset = _integer(decided_place, "decided place") - _integer(true_place, "true place")
+    return abs(offset) <= _integer(tolerance, "tolerance", 0)
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def _scored_blocks(refs: list[ReferenceSet], queries: np.ndarray, method: Method
     query's seconds in ``distance_stack``, in its block copy plus any
     ``select`` call (about zero without one), and its share of ``fuse_rows``.
     """
-    _check_gamma(gamma)  # also for rules that never select by gamma
+    gamma = _real(gamma, "gamma", positive=True)  # also for rules that never select by gamma
     # A set index out of range, or a bool, still selects: select_single raises.
     used, per_query = refs, method.rule != ALL
     if type(method.rule) is int and 0 <= method.rule < len(refs):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import DistanceStack
-from .errors import NoInformationError, ValidationError, _integer, _real_array, checked_array
+from .errors import NoInformationError, ValidationError, _integer, _real, _real_array, checked_array
 from .likelihood import log_likelihood_ratio
 from .selection import SelectionResult
 
@@ -155,8 +155,7 @@ def decide(belief: Belief, h: float) -> PlaceDecision:
     Argmax ties break toward the lowest place index; a belief exactly equal
     to h, or a belief without contrast over several places, abstains.
     """
-    if not (h > 0):
-        raise ValidationError(f"decision threshold must be positive, got {h}")
+    h = _real(h, "decision threshold", positive=True)
     place, confidence, decides = _decided(belief.normalized)
     matched = bool(decides) and confidence > h
     return PlaceDecision(place=int(place) if matched else None, confidence=float(confidence))

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _integer, _real_array
+from .errors import ValidationError, _integer, _real, _real_array
 
 _MAGIC = b"VPRD"
 _VERSION = 1
@@ -95,6 +95,19 @@ class ReferenceSet:
         return self.descriptors.shape[1]
 
 
+def _reference_sets(refs) -> tuple[int, int]:
+    """The (places, dim) of ``refs``, a non-empty list or tuple of same-shape ReferenceSets."""
+    if not isinstance(refs, (list, tuple)) or not refs:
+        raise ValidationError("need a non-empty list or tuple of reference sets")
+    for ref in refs:
+        if not isinstance(ref, ReferenceSet):
+            raise ValidationError(f"expected a reference set, got {type(ref).__name__}")
+        if ref.descriptors.shape != refs[0].descriptors.shape:
+            raise ValidationError(f"reference set {ref.label!r} has shape "
+                                  f"{ref.descriptors.shape}, expected {refs[0].descriptors.shape}")
+    return refs[0].descriptors.shape
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """True place index per query, plus the index tolerance for a correct match."""
@@ -152,15 +165,9 @@ class Dataset:
     ground_truth: GroundTruth
 
     def __post_init__(self):
-        if not self.refs:
-            raise ValidationError("dataset needs at least one reference set")
-        n, d = self.refs[0].n_places, self.refs[0].dim
-        for ref in self.refs:
-            if ref.n_places != n or ref.dim != d:
-                raise ValidationError(
-                    f"reference set {ref.label!r} has shape "
-                    f"{(ref.n_places, ref.dim)}, expected {(n, d)}"
-                )
+        n, d = _reference_sets(self.refs)
+        if not isinstance(self.ground_truth, GroundTruth):
+            raise ValidationError(f"expected a GroundTruth, got {type(self.ground_truth).__name__}")
         q = _real_array(self.queries, "queries")
         if q.ndim != 2 or q.shape[1] != d or q.shape[0] == 0:
             raise ValidationError(
@@ -497,6 +504,9 @@ def generate_synthetic(
     solvable when place_spread exceeds condition_scale + query_noise; this is
     recommended but not enforced.  Output is deterministic per seed.
     """
+    place_spread = _real(place_spread, "place spread")
+    condition_scale = _real(condition_scale, "condition scale")
+    query_noise = _real(query_noise, "query noise")
     n_places = _integer(n_places, "place count", 1)
     n_conditions = _integer(n_conditions, "condition count", 1)
     dim = _integer(dim, "dimension", 1)

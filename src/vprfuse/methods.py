@@ -28,13 +28,12 @@ from typing import Sequence
 import numpy as np
 
 from .distance import DistanceStack
-from .errors import ValidationError, _real_array
+from .errors import ValidationError, _real, _real_array
 from .fusion import _checked_selection, _normalize_log_scores, fused_log_scores, uniform_prior
 from .fusion import posterior  # noqa: F401  (not called here; perfbench/spans.py traces it)
 from .selection import (
     DEFAULT_GAMMA,
     SelectionResult,
-    _check_gamma,
     select_all,
     select_references,
     select_single,
@@ -50,7 +49,7 @@ ALL = "all"
 
 @dataclass(frozen=True)
 class Method:
-    """A named selection rule plus a scoring convention (belief or distance).
+    """A named selection rule plus a scoring convention, ``kind`` BELIEF or DISTANCE.
 
     ``rule`` is GAMMA (select_references), ALL (select_all) or the index of
     the one reference set the method uses (select_single).
@@ -60,8 +59,12 @@ class Method:
     kind: str
     rule: str | int
 
+    def __post_init__(self):
+        if not (isinstance(self.kind, str) and self.kind in (BELIEF, DISTANCE)):
+            raise ValidationError(f"unknown method kind {self.kind!r}")
+
     def select(self, stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> SelectionResult:
-        _check_gamma(gamma)  # for every rule, so every library scoring path refuses a bad gamma
+        gamma = _real(gamma, "gamma", positive=True)  # for every rule: every scoring path checks it
         if self.rule == GAMMA:
             return select_references(stack, gamma)
         if self.rule == ALL:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distance import DistanceStack
-from .errors import ValidationError, _integer
+from .errors import ValidationError, _integer, _real
 
 # Fixed default; values in roughly [0.04, 0.1] behave well across datasets.
 DEFAULT_GAMMA = 0.04
@@ -43,14 +43,9 @@ class SelectionResult:
         return int(np.count_nonzero(self.mask))
 
 
-def _check_gamma(gamma: float) -> None:
-    if not (gamma > 0):
-        raise ValidationError(f"gamma must be positive, got {gamma}")
-
-
 def select_references(stack: DistanceStack, gamma: float = DEFAULT_GAMMA) -> SelectionResult:
     """Keep the sets whose minimum is within a relative fraction gamma of the best."""
-    _check_gamma(gamma)
+    gamma = _real(gamma, "gamma", positive=True)
     minima = stack.minima()
     best = int(np.argmin(minima))
     floor = minima[best]

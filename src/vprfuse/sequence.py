@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _integer, checked_array
+from .errors import ValidationError, _integer, _real, checked_array
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,11 @@ class ScoreMatrix:
         return self.scores.shape[0]
 
 
-def _check_window(length: int, n_queries: int, velocity: float) -> None:
-    """Raise ValidationError unless the window fits ``n_queries`` queries."""
+def _check_window(length: int, n_queries: int, velocity: float) -> float:
+    """``velocity`` as a float; ValidationError unless the window fits ``n_queries`` queries."""
     if _integer(length, "sequence length", 1) > n_queries:
         raise ValidationError(f"sequence length {length} exceeds query count {n_queries}")
-    if not (0 < velocity < np.inf):
-        raise ValidationError(f"velocity must be positive and finite, got {velocity}")
+    return _real(velocity, "velocity", positive=True, below=np.inf)
 
 
 def sequence_aggregate(
@@ -49,7 +48,7 @@ def sequence_aggregate(
     the nearest index (numpy rounding, ties to even).  Each cell sums its
     terms in k order from +0.0, then is divided in place by their count.
     """
-    _check_window(length, matrix.n_queries, velocity)
+    velocity = _check_window(length, matrix.n_queries, velocity)
     scores = matrix.scores
     n_t, n_p = scores.shape
     acc = np.zeros_like(scores)

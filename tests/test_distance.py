@@ -172,7 +172,9 @@ class TestDistanceStack:
             ReferenceSet("a", rng.standard_normal((4, 3))),
             ReferenceSet("b", rng.standard_normal((4, 5))),
         ]
-        with pytest.raises(ValidationError, match="dimension mismatch"):
+        with pytest.raises(
+            ValidationError, match=r"reference set 'b' has shape \(4, 5\), expected \(4, 3\)"
+        ):
             distance_stack(np.zeros(3), refs)
 
     def test_inconsistent_sets_rejected(self, rng):

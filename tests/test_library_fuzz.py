@@ -1,5 +1,6 @@
-"""The library's input boundary: every integer argument follows one rule, and
-any value in a fuzzed argument gives a result or a VPRFuseError."""
+"""The library's input boundary: every integer argument follows one rule, every
+real-number argument another, and any value in a fuzzed argument gives a result
+or a VPRFuseError."""
 
 import dataclasses
 
@@ -9,21 +10,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vprfuse import (
+    Dataset,
     GroundTruth,
+    Method,
     ValidationError,
     VPRFuseError,
     bench_query,
+    decide,
     distance_stack,
     evaluate_method,
     expand_methods,
     generate_synthetic,
+    match_correct,
+    posterior,
     pr_curve,
     resolve_method,
     score_matrix,
+    select_all,
+    select_references,
     select_single,
     sequence_aggregate,
     uniform_prior,
 )
+from vprfuse.methods import BELIEF, DISTANCE
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +70,9 @@ INTEGER_ENTRIES = {
     "bench_query-n_queries": (
         lambda ds, n: bench_query(ds, "min-value:0", repetitions=1, n_queries=n), 2, 3
     ),
+    "match_correct-decided_place": (lambda ds, n: match_correct(n, 1, 2), 3, 40),
+    "match_correct-true_place": (lambda ds, n: match_correct(3, n, 2), 1, 40),
+    "match_correct-tolerance": (lambda ds, n: match_correct(3, 1, n), 2, 40),
 }
 # select_single's own tests cover its index; the fuzzer covers it here.
 FUZZED_ENTRIES = {
@@ -96,6 +108,55 @@ def test_integer_rule(ds, entry):
         with pytest.raises(ValidationError, match="must be an integer"):
             call(ds, bad)
     assert_same(call(ds, np.int64(good)), call(ds, good))
+
+
+def stack(ds):
+    return distance_stack(ds.queries[0], ds.refs)
+
+
+def belief(ds):
+    distances = stack(ds)
+    return posterior(distances, select_all(distances), uniform_prior(ds.n_places))
+
+
+# name: (call on the dataset and one real-number argument, a valid value).
+REAL_ENTRIES = {
+    "select_references-gamma": (lambda ds, x: select_references(stack(ds), x), 0.3),
+    "Method.select-gamma": (
+        lambda ds, x: resolve_method("bayes-full", ds.labels).select(stack(ds), x), 0.3
+    ),
+    "evaluate_method-gamma": (lambda ds, x: evaluate_method(ds, "bayes-selective", x), 0.3),
+    "score_matrix-gamma": (lambda ds, x: score_matrix(ds, "baseline-selective", x), 0.3),
+    "bench_query-gamma": (
+        lambda ds, x: bench_query(ds, "bayes-selective", 1, 2, gamma=x), 0.3
+    ),
+    "sequence_aggregate-velocity": (
+        lambda ds, x: sequence_aggregate(score_matrix(ds, "min-value:0"), 3, x), 1.5
+    ),
+    "evaluate_method-seq_velocity": (
+        lambda ds, x: evaluate_method(ds, "bayes-selective", seq_len=3, seq_velocity=x), 1.5
+    ),
+    "decide-h": (lambda ds, x: decide(belief(ds), x), 0.05),
+    "synthetic-place_spread": (
+        lambda ds, x: generate_synthetic(n_places=6, dim=3, place_spread=x), 1.5
+    ),
+    "synthetic-condition_scale": (
+        lambda ds, x: generate_synthetic(n_places=6, dim=3, condition_scale=x), 0.7
+    ),
+    "synthetic-query_noise": (
+        lambda ds, x: generate_synthetic(n_places=6, dim=3, query_noise=x), 0.3
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", REAL_ENTRIES)
+def test_real_rule(ds, entry):
+    """A string, None, a bool or a complex number is refused; a numpy float is its float."""
+    call, good = REAL_ENTRIES[entry]
+    for bad in (str(good), None, True, complex(good)):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            call(ds, bad)
+    assert_same(call(ds, np.float64(good)), call(ds, good))
 
 
 def argument(top=40):
@@ -151,6 +212,43 @@ def test_distance_stack_gives_a_result_or_a_vprfuse_error(ds, data):
         label="refs",
     )
     returns_or_refuses(distance_stack, ds.queries[0], refs)
+
+
+@settings(FUZZ, max_examples=20 * len(REAL_ENTRIES))
+@given(entry=st.sampled_from(sorted(REAL_ENTRIES)), data=st.data())
+def test_real_argument_gives_a_result_or_a_vprfuse_error(ds, entry, data):
+    call, _ = REAL_ENTRIES[entry]
+    returns_or_refuses(call, ds, data.draw(argument(), label="value"))
+
+
+@FUZZ
+@given(data=st.data())
+def test_dataset_parts_give_a_result_or_a_vprfuse_error(ds, data):
+    parts = st.sampled_from([*ds.refs, ds.refs[0].descriptors, None])
+    refs = data.draw(
+        st.one_of(argument(), st.lists(parts, max_size=3), st.lists(parts, max_size=3).map(tuple)),
+        label="refs",
+    )
+    queries = data.draw(
+        st.one_of(argument(), st.sampled_from([ds.queries, ds.queries[:3], ds.queries[:, :2]])),
+        label="queries",
+    )
+    truth = data.draw(
+        st.one_of(argument(), st.sampled_from([ds.ground_truth, GroundTruth(np.arange(3), 0)])),
+        label="ground_truth",
+    )
+    returns_or_refuses(Dataset, refs, queries, truth)
+
+
+@FUZZ
+@given(kind=st.one_of(argument(), st.sampled_from([BELIEF, DISTANCE, "beleif", "Belief"])))
+def test_method_kind_is_belief_or_distance(ds, kind):
+    """Any other kind is refused when the method is built, not scored as a distance method."""
+    if kind in (BELIEF, DISTANCE):
+        evaluate_method(ds, Method("x", kind, "all"))
+    else:
+        with pytest.raises(ValidationError, match="unknown method kind"):
+            Method("x", kind, "all")
 
 
 @FUZZ

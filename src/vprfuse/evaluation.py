@@ -88,11 +88,11 @@ def pr_curve(confidences, decided, correct) -> PRCurve:
     ``correct`` marks the right ones.  When no query decided a place, the
     curve degenerates to the single point (recall 0, precision 0) with AUC 0.
     """
-    conf = _real_array(confidences, "confidences").astype(np.float64, copy=False)
-    decided = _real_array(decided, "decided flags").astype(bool, copy=False)
-    correct = _real_array(correct, "correct flags").astype(bool, copy=False)
-    if conf.ndim != 1 or conf.size == 0 or not decided.shape == correct.shape == conf.shape:
-        raise ValidationError("need non-empty, equal-length 1-D arrays, one entry per query")
+    conf = _real_array(confidences, "confidences", 1).astype(np.float64, copy=False)
+    decided = _real_array(decided, "decided flags", 1).astype(bool, copy=False)
+    correct = _real_array(correct, "correct flags", 1).astype(bool, copy=False)
+    if not decided.shape == correct.shape == conf.shape:
+        raise ValidationError("need one decided and one correct flag per confidence")
     total = conf.shape[0]
     conf, correct = conf[decided], correct[decided]
     if not np.isfinite(conf).all():
@@ -174,8 +174,7 @@ def score_matrix(
     matrix); a window that ``sequence_aggregate`` would reject raises
     ValidationError before any query is scored.
     """
-    if not isinstance(method, Method):
-        method = resolve_method(method, [r.label for r in dataset.refs])
+    method = resolve_method(method, dataset.labels)
     if _integer(seq_len, "sequence length", 1) != 1:
         _check_window(seq_len, dataset.queries.shape[0], seq_velocity)
     rows = np.empty((dataset.queries.shape[0], dataset.n_places))
@@ -206,8 +205,7 @@ def evaluate_method(
     ``score_matrix`` are decided, since a window reads earlier rows.
     ``score_matrix`` returns the rows themselves.
     """
-    if not isinstance(method, Method):
-        method = resolve_method(method, [r.label for r in dataset.refs])
+    method = resolve_method(method, dataset.labels)
     if _integer(seq_len, "sequence length", 1) == 1:
         blocks = _scored_blocks(dataset.refs, dataset.queries, method, gamma)
     else:
@@ -257,8 +255,7 @@ def bench_query(
     """
     repetitions = _integer(repetitions, "repetitions", 1)
     n_queries = _integer(n_queries, "query count", 1)
-    if not isinstance(method, Method):
-        method = resolve_method(method, [r.label for r in dataset.refs])
+    method = resolve_method(method, dataset.labels)
     queries = dataset.queries[:n_queries]
     next(_scored_blocks(dataset.refs, queries[:1], method, gamma))  # warm-up
     times = np.empty((repetitions, queries.shape[0], 3))

@@ -75,11 +75,7 @@ class ReferenceSet:
 
     def __post_init__(self):
         what = f"reference set {self.label!r}"
-        src = _real_array(self.descriptors, what)
-        if src.ndim != 2 or src.size == 0:
-            raise ValidationError(
-                f"{what} must be a non-empty 2-D array, got shape {src.shape}"
-            )
+        src = _real_array(self.descriptors, what, 2)
         rows, sq_norms = _float64_rows(
             src.shape, lambda i, j: src[i:j], f"{what} contains non-finite values"
         )
@@ -168,11 +164,9 @@ class Dataset:
         n, d = _reference_sets(self.refs)
         if not isinstance(self.ground_truth, GroundTruth):
             raise ValidationError(f"expected a GroundTruth, got {type(self.ground_truth).__name__}")
-        q = _real_array(self.queries, "queries")
-        if q.ndim != 2 or q.shape[1] != d or q.shape[0] == 0:
-            raise ValidationError(
-                f"queries must be (n_queries, {d}), got shape {q.shape}"
-            )
+        q = _real_array(self.queries, "queries", 2)
+        if q.shape[1] != d:
+            raise ValidationError(f"queries must be (n_queries, {d}), got shape {q.shape}")
         queries, _ = _float64_rows(
             q.shape, lambda i, j: q[i:j], "non-finite query descriptor component"
         )
@@ -204,15 +198,9 @@ def write_descriptor_file(path: str | Path, descriptors: np.ndarray) -> None:
     for empty, ragged, string, object, complex or non-finite input
     (including values that overflow float32 on cast).
     """
-    src = _real_array(descriptors, "descriptors")
+    src = _real_array(descriptors, "descriptors", (1, 2))
     with np.errstate(over="ignore"):  # an overflow becomes inf, rejected below
-        arr = src.astype(np.float32, copy=False)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValidationError(
-            f"descriptors must be a non-empty 2-D array, got shape {arr.shape}"
-        )
+        arr = src.astype(np.float32, copy=False).reshape(-1, src.shape[-1])
     if not np.all(np.isfinite(arr)):
         raise ValidationError("descriptors contain non-finite values")
     n, dim = arr.shape

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateReferenceError, ValidationError, _real_array, checked_array
+from .errors import DegenerateReferenceError, ValidationError, checked_array
 
-# Variance floor below which a distance vector carries no contrast.
+# Relative variance floor: a distance vector whose variance is at most
+# SIGMA2_MIN times its squared mean carries no contrast, at any scale.
 SIGMA2_MIN = 1e-12
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -40,12 +41,6 @@ class GaussianParams:
     sigma2: float | np.ndarray
 
 
-def _distance_rows(d) -> np.ndarray:
-    """``d`` as a checked float64 vector or (rows, N) block."""
-    ndim = _real_array(d, "distance vector").ndim
-    return checked_array(d, 2 if ndim == 2 else 1, "distance vector")
-
-
 def place_match_counts(d: np.ndarray) -> np.ndarray:
     """counts[i] = number of entries j with d[i] <= d[j], ties counted.
 
@@ -55,7 +50,7 @@ def place_match_counts(d: np.ndarray) -> np.ndarray:
     sorted order, an entry's count is N minus the index where its run of
     equal values starts; the run-start pass runs only for a block with ties.
     """
-    arr = _distance_rows(d)
+    arr = checked_array(d, (1, 2), "distance vector")
     n = arr.shape[-1]
     # Each row's sort order, as positions in the flattened block.
     flat = np.argsort(arr.reshape(-1, n), axis=-1)
@@ -77,7 +72,7 @@ def gaussian_params(d: np.ndarray) -> GaussianParams:
     Bit-identical to ``arr.mean()`` and ``arr.var()`` of each vector: the
     same ufunc reductions, row by row along the contiguous last axis.
     """
-    arr = _distance_rows(d)
+    arr = checked_array(d, (1, 2), "distance vector")
     n = arr.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by the caller
         mu = np.add.reduce(arr, axis=-1, keepdims=True) / n
@@ -92,8 +87,8 @@ def log_likelihood_ratio(d: np.ndarray) -> np.ndarray:
     """Per-place log likelihood ratio of one distance vector, or of each row.
 
     Entry i is log(counts[i]) minus the Gaussian log-density of d[i] under
-    the background model.  A row with (numerically) zero variance offers no
-    contrast and its ratio would be unbounded: a vector raises
+    the background model.  A row whose variance is at most SIGMA2_MIN times
+    its squared mean offers no contrast and would be unbounded: a vector raises
     DegenerateReferenceError, a block row comes back as NaN.  A variance
     that overflows float64 raises ValidationError.  Other rows are finite.
     """
@@ -102,11 +97,11 @@ def log_likelihood_ratio(d: np.ndarray) -> np.ndarray:
     fit = gaussian_params(rows)
     if not np.isfinite(fit.sigma2).all():
         raise ValidationError("distance variance overflows float64")
-    usable = fit.sigma2 > SIGMA2_MIN
+    with np.errstate(over="ignore"):  # a squared mean beyond float64 reads as no contrast
+        usable = fit.sigma2 > SIGMA2_MIN * np.square(fit.mu)
     if counts.ndim == 1 and not usable[0]:
-        raise DegenerateReferenceError(
-            f"distance variance {fit.sigma2[0]:.3e} below {SIGMA2_MIN:.0e}"
-        )
+        raise DegenerateReferenceError(f"distance variance {fit.sigma2[0]:.3e} at mean "
+                                       f"{fit.mu[0]:.3e} is at most {SIGMA2_MIN:.0e} times its square")
     # Degenerate rows are computed with variance 1, then overwritten by NaN.
     sigma2 = np.where(usable, fit.sigma2, 1.0)
     # Each row's normalizer from its Python float, as for a vector alone.

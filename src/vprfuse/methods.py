@@ -81,9 +81,7 @@ class Method:
         belief method leaves out each query's degenerate selected sets.  Either
         kind raises ValidationError on non-finite selected distances.
         """
-        values = _real_array(values, "distance stacks")
-        if values.ndim != 3:
-            raise ValidationError(f"distance stacks must be a 3-D array, got shape {values.shape}")
+        values = _real_array(values, "distance stacks", 3)
         selected = _checked_selection(selected, values)
         if self.kind == BELIEF:
             log_prior = np.log(uniform_prior(values.shape[2]))
@@ -145,8 +143,10 @@ def _single_name(prefix: str, index: int, labels: Sequence[str]) -> str:
     return f"{prefix}:{label if named else index}"
 
 
-def resolve_method(name: str, labels: Sequence[str]) -> Method:
-    """Resolve one selector string against a dataset's reference labels."""
+def resolve_method(name: str | Method, labels: Sequence[str]) -> Method:
+    """Resolve one selector string against a dataset's labels; a Method is returned as is."""
+    if isinstance(name, Method):
+        return name
     prefix, sep, token = name.partition(":") if isinstance(name, str) else ("", "", "")
     if not sep and prefix in _FUSION_METHODS:  # no fusion method's name holds ":"
         kind, rule = _FUSION_METHODS[prefix]

@@ -158,6 +158,17 @@ class TestPRCurve:
         with pytest.raises(ValidationError):
             pr_curve(confidences, decided, correct)
 
+    def test_rank_and_length_messages(self):
+        with pytest.raises(ValidationError, match=r"confidences must be a non-empty 1-D "
+                           r"array, got shape \(1, 1\)"):
+            pr_curve([[0.5]], [True], [True])
+        with pytest.raises(ValidationError, match=r"decided flags must be a non-empty 1-D "
+                           r"array, got shape \(0,\)"):
+            pr_curve([0.5], [], [True])
+        with pytest.raises(ValidationError, match="^need one decided and one correct flag "
+                           "per confidence$"):
+            pr_curve([0.5, 0.4], [True, True], [True])
+
     def test_undecided_entries_are_not_read(self):
         curve = pr_curve([np.nan, 0.5, -np.inf], [False, True, False], [True, True, True])
         assert curve.points == [(1 / 3, 1.0)]
@@ -298,6 +309,26 @@ class TestEvaluateMethod:
         result = evaluate_method(ds, "min-value:0")
         assert result.correct.all()  # everything within band
         assert result.curve.auc == 1.0
+
+    def test_every_method_keeps_its_decisions_at_every_descriptor_scale(self):
+        """Scaling references and queries alike by 10**k changes no decision.
+
+        The 200-place protocol's distance variance is about 1 at k = 0 and so
+        about 1e-12 at k = -6: only a floor relative to the squared mean keeps
+        belief methods deciding at every k.
+        """
+        ds = generate_synthetic(seed=0, n_places=200, mixture=(0.5, 0.5, 0.0))
+        methods = expand_methods("all", ds.labels)
+        base = [evaluate_method(ds, m) for m in methods]
+        for k in (-150, -100, -6, -3, 0, 3, 100, 150):
+            c = 10.0**k
+            scaled = Dataset([ReferenceSet(r.label, c * r.descriptors) for r in ds.refs],
+                             c * ds.queries, ds.ground_truth)
+            for m, want in zip(methods, base):
+                got = evaluate_method(scaled, m)
+                np.testing.assert_array_equal(got.places, want.places, err_msg=f"{m.name} {k}")
+                np.testing.assert_array_equal(got.decided, want.decided, err_msg=f"{m.name} {k}")
+                assert got.curve.auc == pytest.approx(want.curve.auc, rel=0, abs=1e-9)
 
 
 def decisions(result):

@@ -145,6 +145,9 @@ class TestDescriptorFile:
     def test_write_rejects_empty(self, tmp_path):
         with pytest.raises(ValidationError):
             write_descriptor_file(tmp_path / "d.vprd", np.empty((0, 3), dtype=np.float32))
+        with pytest.raises(ValidationError, match=r"descriptors must be a non-empty 1-D or 2-D "
+                           r"array, got shape \(0,\)"):
+            write_descriptor_file(tmp_path / "d.vprd", [])
 
     def test_write_rejects_ragged_rows(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -619,7 +622,8 @@ class TestReferenceSetValidation:
             ReferenceSet("x", np.array([[np.nan, 0.0]]))
 
     def test_rejects_1d(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"reference set 'x' must be a non-empty 2-D "
+                           r"array, got shape \(4,\)"):
             ReferenceSet("x", np.arange(4.0))
 
     def test_finite_rows_with_overflowing_norms_accepted(self):
@@ -683,6 +687,12 @@ class TestReferenceSetValidation:
         ref = ReferenceSet("x", np.ones((3, 2)))
         with pytest.raises(ValidationError, match=r"got shape \(0, 2\)"):
             Dataset([ref], np.empty((0, 2)), GroundTruth(np.arange(0), 0))
+        with pytest.raises(ValidationError, match=r"queries must be a non-empty 2-D array, "
+                           r"got shape \(2,\)"):
+            Dataset([ref], np.ones(2), GroundTruth(np.arange(1), 0))
+        with pytest.raises(ValidationError, match=r"queries must be \(n_queries, 2\), "
+                           r"got shape \(1, 3\)"):
+            Dataset([ref], np.ones((1, 3)), GroundTruth(np.arange(1), 0))
         with pytest.raises(ValidationError, match="non-finite query descriptor component"):
             Dataset([ref], np.array([[0.0, np.inf]]), GroundTruth(np.arange(1), 0))
 

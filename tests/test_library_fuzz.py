@@ -1,6 +1,6 @@
 """The library's input boundary: every integer argument follows one rule, every
-real-number argument another, and any value in a fuzzed argument gives a result
-or a VPRFuseError."""
+real-number argument another, every array argument a third, and any value in a
+fuzzed argument gives a result or a VPRFuseError."""
 
 import dataclasses
 
@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vprfuse import (
     Dataset,
+    DistanceStack,
     GroundTruth,
     Method,
+    ReferenceSet,
+    ScoreMatrix,
     ValidationError,
     VPRFuseError,
     bench_query,
@@ -20,8 +24,11 @@ from vprfuse import (
     distance_stack,
     evaluate_method,
     expand_methods,
+    gaussian_params,
     generate_synthetic,
+    log_likelihood_ratio,
     match_correct,
+    place_match_counts,
     posterior,
     pr_curve,
     resolve_method,
@@ -31,8 +38,13 @@ from vprfuse import (
     select_single,
     sequence_aggregate,
     uniform_prior,
+    write_descriptor_file,
 )
 from vprfuse.methods import BELIEF, DISTANCE
+
+INT64_MAX = 2**63 - 1
+# Past float's range; the last two also past str()'s default digit limit.
+HUGE = (10**400, -(10**400), 10**5000, -(10**5000))
 
 
 @pytest.fixture(scope="module")
@@ -41,44 +53,45 @@ def ds():
     return generate_synthetic(seed=3, n_places=12, n_conditions=2, dim=4)
 
 
-# name: (call on the dataset and one integer argument, a valid value, the
-# largest int the fuzzer draws; bench's loops are capped at 3).
+# name: (call on the dataset and one integer argument, a valid value, and the
+# largest int below 2**63 that the fuzzer draws: 40 for a size and 3 for bench's
+# repetitions, since a larger one is allocated or run; None for any other int).
 INTEGER_ENTRIES = {
     "uniform_prior": (lambda ds, n: uniform_prior(n), 5, 40),
-    "GroundTruth-tolerance": (lambda ds, n: GroundTruth(np.arange(4), n), 2, 40),
-    "synthetic-seed": (lambda ds, n: generate_synthetic(seed=n, n_places=6, dim=3), 4, 40),
+    "GroundTruth-tolerance": (lambda ds, n: GroundTruth(np.arange(4), n), 2, None),
+    "synthetic-seed": (lambda ds, n: generate_synthetic(seed=n, n_places=6, dim=3), 4, None),
     "synthetic-places": (lambda ds, n: generate_synthetic(n_places=n, dim=3), 6, 40),
     "synthetic-conditions": (
         lambda ds, n: generate_synthetic(n_places=6, n_conditions=n, dim=3), 2, 40
     ),
     "synthetic-dim": (lambda ds, n: generate_synthetic(n_places=6, dim=n), 3, 40),
     "synthetic-gt_tolerance": (
-        lambda ds, n: generate_synthetic(n_places=6, dim=3, gt_tolerance=n), 1, 40
+        lambda ds, n: generate_synthetic(n_places=6, dim=3, gt_tolerance=n), 1, None
     ),
     "sequence_aggregate": (
-        lambda ds, n: sequence_aggregate(score_matrix(ds, "min-value:0"), n), 3, 40
+        lambda ds, n: sequence_aggregate(score_matrix(ds, "min-value:0"), n), 3, None
     ),
     "score_matrix-seq_len": (
-        lambda ds, n: score_matrix(ds, "bayes-selective", seq_len=n), 3, 40
+        lambda ds, n: score_matrix(ds, "bayes-selective", seq_len=n), 3, None
     ),
     "evaluate_method-seq_len": (
-        lambda ds, n: evaluate_method(ds, "bayes-selective", seq_len=n), 3, 40
+        lambda ds, n: evaluate_method(ds, "bayes-selective", seq_len=n), 3, None
     ),
     "bench_query-repetitions": (
         lambda ds, n: bench_query(ds, "min-value:0", repetitions=n, n_queries=2), 2, 3
     ),
     "bench_query-n_queries": (
-        lambda ds, n: bench_query(ds, "min-value:0", repetitions=1, n_queries=n), 2, 3
+        lambda ds, n: bench_query(ds, "min-value:0", repetitions=1, n_queries=n), 2, None
     ),
-    "match_correct-decided_place": (lambda ds, n: match_correct(n, 1, 2), 3, 40),
-    "match_correct-true_place": (lambda ds, n: match_correct(3, n, 2), 1, 40),
-    "match_correct-tolerance": (lambda ds, n: match_correct(3, 1, n), 2, 40),
+    "match_correct-decided_place": (lambda ds, n: match_correct(n, 1, 2), 3, None),
+    "match_correct-true_place": (lambda ds, n: match_correct(3, n, 2), 1, None),
+    "match_correct-tolerance": (lambda ds, n: match_correct(3, 1, n), 2, None),
 }
 # select_single's own tests cover its index; the fuzzer covers it here.
 FUZZED_ENTRIES = {
     **INTEGER_ENTRIES,
     "select_single": (
-        lambda ds, n: select_single(distance_stack(ds.queries[0], ds.refs), n), 1, 40
+        lambda ds, n: select_single(distance_stack(ds.queries[0], ds.refs), n), 1, None
     ),
 }
 
@@ -108,6 +121,15 @@ def test_integer_rule(ds, entry):
         with pytest.raises(ValidationError, match="must be an integer"):
             call(ds, bad)
     assert_same(call(ds, np.int64(good)), call(ds, good))
+
+
+@pytest.mark.parametrize("entry", FUZZED_ENTRIES)
+def test_integer_outside_int64_is_refused(ds, entry):
+    """No count, index or seed reaches numpy or a message at more than 64 bits."""
+    call, _, _ = FUZZED_ENTRIES[entry]
+    for bad in (2**63, -(2**63) - 1, *HUGE):
+        with pytest.raises(ValidationError, match="outside the int64 range"):
+            call(ds, bad)
 
 
 def stack(ds):
@@ -159,13 +181,28 @@ def test_real_rule(ds, entry):
     assert_same(call(ds, np.float64(good)), call(ds, good))
 
 
-def argument(top=40):
-    """Any value the fuzzer passes as an argument; ints run from -3 to ``top``."""
-    ints = st.integers(min_value=-3, max_value=top)
+@pytest.mark.parametrize("entry", REAL_ENTRIES)
+def test_int_beyond_float_is_refused(ds, entry):
+    call, _ = REAL_ENTRIES[entry]
+    for bad in HUGE:
+        with pytest.raises(ValidationError, match="outside the float range"):
+            call(ds, bad)
+
+
+def integers(top=None):
+    """Any int; with ``top``, none from ``top + 1`` up to int64's maximum."""
+    if top is None:
+        return st.integers()
+    return st.integers(max_value=top) | st.integers(min_value=INT64_MAX + 1)
+
+
+def argument(top=None):
+    """Any value the fuzzer passes as an argument; ints as ``integers(top)`` draws them."""
+    ints = integers(top)
     return st.one_of(
         ints,
-        ints.map(np.int64),
-        ints.map(float),
+        st.integers(-INT64_MAX - 1, INT64_MAX if top is None else top).map(np.int64),
+        st.integers(-3, 40).map(float),
         st.floats(),
         st.booleans(),
         st.text(max_size=4),
@@ -201,6 +238,67 @@ def test_integer_argument_gives_a_result_or_a_vprfuse_error(ds, entry, data):
 @given(confidences=argument(), decided=argument(), correct=argument())
 def test_pr_curve_gives_a_result_or_a_vprfuse_error(confidences, decided, correct):
     returns_or_refuses(pr_curve, confidences, decided, correct)
+
+
+def shaped_like(x, value):
+    """``value`` in ``x``'s shape when ``x`` is an array, else in one entry."""
+    return np.full(x.shape if isinstance(x, np.ndarray) else 1, value)
+
+
+def fused(name):
+    """``fuse_rows`` of method ``name`` on the stacks ``x``, every set selected."""
+    def call(ds, path, x):
+        mask = np.ones(x.shape[:2] if isinstance(x, np.ndarray) else (1, 1), dtype=bool)
+        return resolve_method(name, ds.labels).fuse_rows(x, mask)
+    return call
+
+
+# name: call on the dataset, a temporary file path and one array argument.
+ARRAY_ENTRIES = {
+    "distance_stack-query": lambda ds, path, x: distance_stack(x, ds.refs),
+    "DistanceStack": lambda ds, path, x: DistanceStack(x),
+    "ScoreMatrix": lambda ds, path, x: ScoreMatrix(x),
+    "posterior-prior": lambda ds, path, x: posterior(stack(ds), select_all(stack(ds)), x),
+    "ReferenceSet": lambda ds, path, x: ReferenceSet("x", x),
+    "Dataset-queries": lambda ds, path, x: Dataset(ds.refs, x, ds.ground_truth),
+    "GroundTruth": lambda ds, path, x: GroundTruth(x, 0),
+    "write_descriptor_file": lambda ds, path, x: write_descriptor_file(path, x),
+    "place_match_counts": lambda ds, path, x: place_match_counts(x),
+    "gaussian_params": lambda ds, path, x: gaussian_params(x),
+    "log_likelihood_ratio": lambda ds, path, x: log_likelihood_ratio(x),
+    "fuse_rows-belief": fused("bayes-full"),
+    "fuse_rows-distance": fused("baseline-fusion"),
+    "pr_curve-confidences": lambda ds, path, x: pr_curve(
+        x, shaped_like(x, True), shaped_like(x, True)
+    ),
+    "pr_curve-decided": lambda ds, path, x: pr_curve(
+        shaped_like(x, 0.5), x, shaped_like(x, True)
+    ),
+    "pr_curve-correct": lambda ds, path, x: pr_curve(
+        shaped_like(x, 0.5), shaped_like(x, True), x
+    ),
+}
+# 0-d to 3-D arrays, often empty, of real, complex and string dtypes, and any
+# other argument: scalars, strings, None and nested lists, often ragged.
+ARRAYS = st.one_of(
+    hnp.arrays(
+        st.sampled_from([np.dtype(t) for t in ("f8", "f4", "i8", "?", "c16", "U2")]),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    ),
+    argument(),
+)
+
+
+@pytest.fixture(scope="module")
+def out_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "d.vprd"
+
+
+@settings(FUZZ, max_examples=20 * len(ARRAY_ENTRIES))
+@given(entry=st.sampled_from(sorted(ARRAY_ENTRIES)), data=st.data())
+def test_array_argument_gives_a_result_or_a_vprfuse_error(ds, out_file, entry, data):
+    call = ARRAY_ENTRIES[entry]
+    returns_or_refuses(call, ds, out_file, data.draw(ARRAYS, label="array"))
 
 
 @FUZZ

@@ -145,16 +145,17 @@ class TestLogLikelihoodRatio:
 
     def test_variance_floor(self):
         d = np.full(6, 1.0)
-        d[0] += 1e-9  # variance ~1.4e-19, below the floor
-        assert np.var(d) <= SIGMA2_MIN
-        with pytest.raises(DegenerateReferenceError):
-            log_likelihood_ratio(d)
+        d[0] += 1e-9  # variance ~1.4e-19 at mean ~1, below the relative floor
+        assert np.var(d) <= SIGMA2_MIN * np.mean(d) ** 2
+        for c in (1e-150, 1e-7, 1.0, 1e150):  # the floor scales with the distances
+            with pytest.raises(DegenerateReferenceError, match="times its square"):
+                log_likelihood_ratio(c * d)
 
     def test_normalized_ratio_scale_invariant(self, rng):
         for _ in range(20):
             d = rng.uniform(0.5, 2.0, size=30)
             base = softmax(log_likelihood_ratio(d))
-            for c in (1e-3, 7.0, 1e3):
+            for c in (1e-150, 1e-100, 1e-7, 1e-3, 7.0, 1e3, 1e100, 1e150):
                 scaled = softmax(log_likelihood_ratio(c * d))
                 np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-9)
 
@@ -253,6 +254,12 @@ class TestBlocks:
             with pytest.raises(ValidationError):
                 fn(bad)
 
+    def test_rank_message_names_both_ranks(self):
+        for fn in (place_match_counts, gaussian_params, log_likelihood_ratio):
+            with pytest.raises(ValidationError, match=r"distance vector must be a non-empty "
+                               r"1-D or 2-D array, got shape \(2, 2, 2\)"):
+                fn(np.ones((2, 2, 2)))
+
 
 class TestVarianceOverflow:
     """Finite distances whose squared residuals overflow float64 are bad input.
@@ -280,6 +287,15 @@ class TestVarianceOverflow:
         with np.errstate(all="raise"):
             with pytest.raises(ValidationError, match="variance overflows"):
                 log_likelihood_ratio(np.array([0.0, 1e300, 1.0]))
+
+    def test_squared_mean_beyond_float64_when_numpy_raises(self):
+        # The variance (6.7e299) is finite, the relative floor's squared mean
+        # (4e308) is not: the row reads as degenerate, whatever numpy's settings.
+        d = np.array([2e154, 2.0001e154, 2.0002e154])
+        with np.errstate(all="raise"):
+            with pytest.raises(DegenerateReferenceError, match="at mean 2.000e\\+154"):
+                log_likelihood_ratio(d)
+            assert np.isnan(log_likelihood_ratio(np.stack([d, [0.5, 1.0, 2.0]]))[0]).all()
 
     def test_posterior_and_belief_rows_rejected(self, refs_and_query):
         refs, query = refs_and_query

@@ -176,8 +176,12 @@ class TestRowConsistency:
         selected = np.ones((2, 3), dtype=bool)
         rows, _ = method.fuse_rows(values.tolist(), selected)  # a nested list of stacks
         assert rows.tobytes() == method.fuse_rows(values, selected)[0].tobytes()
-        with pytest.raises(ValidationError, match="distance stacks must be a 3-D array"):
+        with pytest.raises(ValidationError, match=r"distance stacks must be a non-empty 3-D "
+                           r"array, got shape \(2, 5\)"):
             method.fuse_rows(rng.uniform(0.3, 2.0, size=(2, 5)), np.ones((2, 2), dtype=bool))
+        with pytest.raises(ValidationError, match=r"distance stacks must be a non-empty 3-D "
+                           r"array, got shape \(0, 3, 5\)"):  # no query: nothing to score
+            method.fuse_rows(np.empty((0, 3, 5)), np.ones((0, 3), dtype=bool))
         with pytest.raises(ValidationError, match="distance stacks is not a rectangular"):
             method.fuse_rows([[[1.0, 2.0], [1.0]]], np.ones((1, 2), dtype=bool))
 

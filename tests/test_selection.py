@@ -42,6 +42,11 @@ class TestSelectReferences:
         assert sel.best == 0
         assert not sel.zero_limit
 
+    def test_excess_equal_to_gamma_is_selected(self):
+        # (3 - 2) / 2 == 0.5 exactly: the rule keeps a set at the boundary
+        sel = select_references(stack_with_minima([2.0, 3.0]), gamma=0.5)
+        assert sel.selected == (0, 1)
+
     def test_single_set_always_selected(self):
         sel = select_references(stack_with_minima([2.5]), gamma=0.04)
         assert sel.selected == (0,)
